@@ -90,14 +90,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Creates an empty queue with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> EventQueue<T> {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `payload` at `time`; returns its sequence number.
     /// Events pushed at the same time pop in push order.
     pub fn push(&mut self, time: Micros, payload: T) -> u64 {

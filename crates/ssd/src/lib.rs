@@ -40,6 +40,7 @@ pub mod obs;
 pub mod pipeline;
 pub mod recovery;
 pub mod scenario;
+mod scheduler;
 pub mod serve;
 pub mod sim;
 pub mod stats;

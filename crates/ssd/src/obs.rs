@@ -21,13 +21,18 @@
 //! Read requests additionally emit a structured [`ReadSpan`] with a
 //! per-stage latency decomposition that sums to the request's flash
 //! service time. Under the single-queue model spans complete inline;
-//! under the pipelined model the logical phase builds span skeletons and
-//! the event loop fills in start/response times, with spans flushed in
-//! request order so trace output is independent of event interleaving.
+//! under the pipelined model the logical layer builds span skeletons and
+//! the scheduler fills in start/response times. Each completion flushes
+//! the finished prefix of the request-ordered queue, so spans and
+//! response observations are emitted in request order — trace output is
+//! independent of event interleaving — and the queue only holds requests
+//! still in flight.
 //!
 //! [`SsdSimulator`]: crate::sim::SsdSimulator
 //! [`SsdSimulator::attach_observer`]: crate::sim::SsdSimulator::attach_observer
 //! [`SimStats::record_stage`]: crate::stats::SimStats::record_stage
+
+use std::collections::VecDeque;
 
 use flash_model::Micros;
 use obs::{
@@ -223,12 +228,13 @@ struct PendingSpan {
     rank: u8,
 }
 
-/// One request's record while the pipelined event loop resolves timing.
+/// One request's record while the pipelined scheduler resolves timing.
 #[derive(Debug)]
 struct DeferredRequest {
     arrival: Micros,
     start: Option<Micros>,
-    response: Micros,
+    /// `None` until the request completes (a zero response is legal).
+    response: Option<Micros>,
     span: Option<PendingSpan>,
 }
 
@@ -253,7 +259,10 @@ pub struct SimObserver {
     /// (0 — and never updated — for replay runs).
     current_tenant: u32,
     pending: Option<PendingSpan>,
-    deferred: Vec<DeferredRequest>,
+    /// Pipelined requests not yet flushed, in request order; the front
+    /// has key `deferred_base`.
+    deferred: VecDeque<DeferredRequest>,
+    deferred_base: u64,
     seq: u64,
     /// Windowed time-series sampler; `None` unless enabled via
     /// [`with_series`](Self::with_series).
@@ -322,7 +331,8 @@ impl SimObserver {
             h_tenant_response: Vec::new(),
             current_tenant: 0,
             pending: None,
-            deferred: Vec::new(),
+            deferred: VecDeque::new(),
+            deferred_base: 0,
             seq: 0,
             series: None,
             progress: None,
@@ -385,6 +395,7 @@ impl SimObserver {
         self.recorder.spans.clear();
         self.pending = None;
         self.deferred.clear();
+        self.deferred_base = 0;
         self.seq = 0;
         self.current_tenant = 0;
         self.current_arrival = 0.0;
@@ -610,37 +621,43 @@ impl SimObserver {
         }
     }
 
-    /// Defers the current request for the pipelined event loop to time.
-    pub(crate) fn end_request_deferred(&mut self, arrival: Micros) {
-        self.deferred.push(DeferredRequest {
+    /// Defers the current request for the pipelined scheduler to time;
+    /// returns the key the later hooks name it by.
+    pub(crate) fn end_request_deferred(&mut self, arrival: Micros) -> u64 {
+        self.deferred.push_back(DeferredRequest {
             arrival,
             start: None,
-            response: Micros::ZERO,
+            response: None,
             span: self.pending.take(),
         });
+        self.deferred_base + self.deferred.len() as u64 - 1
     }
 
-    /// Pipelined: request `index`'s foreground chain entered service.
-    pub(crate) fn deferred_started(&mut self, index: usize, start: Micros) {
-        self.deferred[index].start = Some(start);
+    /// Pipelined: request `key`'s foreground chain entered service.
+    pub(crate) fn deferred_started(&mut self, key: u64, start: Micros) {
+        self.deferred[(key - self.deferred_base) as usize].start = Some(start);
     }
 
-    /// Pipelined: request `index` completed with `response`.
-    pub(crate) fn deferred_finished(&mut self, index: usize, response: Micros) {
-        self.deferred[index].response = response;
-    }
-
-    /// Pipelined: emits deferred spans and response observations in
-    /// request order, making trace/metric state independent of the event
-    /// loop's interleaving.
-    pub(crate) fn flush_deferred(&mut self) {
-        for mut deferred in std::mem::take(&mut self.deferred) {
+    /// Pipelined: request `key` completed with `response`. Flushes the
+    /// finished prefix of the queue — response observations and spans in
+    /// request order, making trace/metric state independent of the
+    /// scheduler's interleaving.
+    pub(crate) fn deferred_finished(&mut self, key: u64, response: Micros) {
+        self.deferred[(key - self.deferred_base) as usize].response = Some(response);
+        while let Some(response) = self.deferred.front().and_then(|d| d.response) {
+            let done = self.deferred.pop_front();
+            self.deferred_base += 1;
             self.recorder
                 .metrics
-                .observe(self.h_response, deferred.response.as_f64());
-            if let Some(span) = deferred.span.take() {
-                let start = deferred.start.unwrap_or(deferred.arrival);
-                self.emit_span(span, deferred.arrival, start, deferred.response);
+                .observe(self.h_response, response.as_f64());
+            if let Some(DeferredRequest {
+                arrival,
+                start,
+                span: Some(span),
+                ..
+            }) = done
+            {
+                self.emit_span(span, arrival, start.unwrap_or(arrival), response);
             }
         }
     }

@@ -76,7 +76,7 @@ pub struct Stage {
 
 /// A flash operation as a schedulable unit. Produced by the simulator's
 /// logical layer (and by [`OpCost::flash_ops`](crate::ftl::OpCost::flash_ops)
-/// for FTL background work), consumed by the event loop.
+/// for FTL background work), consumed by the pipelined scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlashOp {
     /// A host read served from flash: sense passes, transfer, decode.
@@ -138,83 +138,49 @@ impl FlashOp {
         }
     }
 
-    /// Expands the op into its stage chain, priced by `latency`.
-    pub fn stages(&self, latency: &ReadLatencyModel) -> Vec<Stage> {
+    /// Appends the op's stage chain, priced by `latency`, to `out`.
+    fn push_stages(&self, latency: &ReadLatencyModel, out: &mut Vec<Stage>) {
         let t = &latency.timing;
+        let lpn = self.lpn();
+        let stage = |kind, duration| Stage {
+            kind,
+            duration,
+            lpn,
+        };
         match *self {
             FlashOp::Read {
-                lpn,
                 extra_levels,
                 decode,
-            } => vec![
-                Stage {
-                    kind: StageKind::Sense,
-                    duration: t.sense_latency(extra_levels),
-                    lpn,
-                },
-                Stage {
-                    kind: StageKind::Transfer,
-                    duration: t.transfer_latency(extra_levels),
-                    lpn,
-                },
-                Stage {
-                    kind: StageKind::Decode,
-                    duration: decode,
-                    lpn,
-                },
-            ],
-            FlashOp::HostTransfer { lpn } => vec![Stage {
-                kind: StageKind::Transfer,
-                duration: t.page_transfer,
-                lpn,
-            }],
-            FlashOp::GcRead { lpn } => vec![
-                Stage {
-                    kind: StageKind::Sense,
-                    duration: t.sense_latency(0),
-                    lpn,
-                },
-                Stage {
-                    kind: StageKind::Transfer,
-                    duration: t.transfer_latency(0),
-                    lpn,
-                },
-            ],
-            FlashOp::Program { lpn } => vec![
-                Stage {
-                    kind: StageKind::Transfer,
-                    duration: t.page_transfer,
-                    lpn,
-                },
-                Stage {
-                    kind: StageKind::Program,
-                    duration: t.program,
-                    lpn,
-                },
-            ],
-            FlashOp::Erase { lpn } => vec![Stage {
-                kind: StageKind::Erase,
-                duration: t.erase,
-                lpn,
-            }],
+                ..
+            } => out.extend([
+                stage(StageKind::Sense, t.sense_latency(extra_levels)),
+                stage(StageKind::Transfer, t.transfer_latency(extra_levels)),
+                stage(StageKind::Decode, decode),
+            ]),
+            FlashOp::HostTransfer { .. } => out.push(stage(StageKind::Transfer, t.page_transfer)),
+            FlashOp::GcRead { .. } => out.extend([
+                stage(StageKind::Sense, t.sense_latency(0)),
+                stage(StageKind::Transfer, t.transfer_latency(0)),
+            ]),
+            FlashOp::Program { .. } => out.extend([
+                stage(StageKind::Transfer, t.page_transfer),
+                stage(StageKind::Program, t.program),
+            ]),
+            FlashOp::Erase { .. } => out.push(stage(StageKind::Erase, t.erase)),
             // A die reset occupies the plane like a (long) sense would:
             // the whole die is unavailable for array operations.
-            FlashOp::DieReset { lpn, duration } => vec![Stage {
-                kind: StageKind::Sense,
-                duration,
-                lpn,
-            }],
+            FlashOp::DieReset { duration, .. } => out.push(stage(StageKind::Sense, duration)),
         }
     }
 }
 
-/// Expands a slice of ops into one serial stage chain.
-pub fn expand_ops(ops: &[FlashOp], latency: &ReadLatencyModel) -> Vec<Stage> {
-    let mut stages = Vec::with_capacity(ops.len() * 3);
+/// Expands a slice of ops into one serial stage chain, replacing the
+/// contents of `out` (whose allocation is reused).
+pub fn expand_ops(ops: &[FlashOp], latency: &ReadLatencyModel, out: &mut Vec<Stage>) {
+    out.clear();
     for op in ops {
-        stages.extend(op.stages(latency));
+        op.push_stages(latency, out);
     }
-    stages
 }
 
 #[cfg(test)]
@@ -223,6 +189,14 @@ mod tests {
 
     fn model() -> ReadLatencyModel {
         ReadLatencyModel::paper_mlc()
+    }
+
+    impl FlashOp {
+        fn stages(&self, latency: &ReadLatencyModel) -> Vec<Stage> {
+            let mut stages = Vec::new();
+            self.push_stages(latency, &mut stages);
+            stages
+        }
     }
 
     #[test]
@@ -306,7 +280,9 @@ mod tests {
             FlashOp::Program { lpn: 2 },
             FlashOp::Erase { lpn: 3 },
         ];
-        let stages = expand_ops(&ops, &m);
+        // A reused buffer's stale chain is replaced, not appended to.
+        let mut stages = FlashOp::HostTransfer { lpn: 9 }.stages(&m);
+        expand_ops(&ops, &m, &mut stages);
         assert_eq!(stages.len(), 5);
         assert_eq!(stages[0].lpn, 1);
         assert_eq!(stages[2].lpn, 2);

@@ -14,7 +14,10 @@
 //!   stages (see [`crate::pipeline`]) scheduled on per-plane,
 //!   per-channel and per-decoder-slot resources, so stages of different
 //!   requests overlap. Background work runs as its own op chains instead
-//!   of a scalar horizon extension.
+//!   of a scalar horizon extension. The schedule streams alongside the
+//!   logical layer: events before each arrival are resolved before that
+//!   request is served, so memory follows in-flight work, not trace
+//!   length.
 //!
 //! Logical decisions depend only on request *order*, never on timing, so
 //! both models produce bit-identical operation counters; only response
@@ -28,21 +31,31 @@
 //!
 //! # Serving architecture
 //!
-//! The replay loop is split into three layers:
+//! One serving loop drives both timing backends; [`run`], [`serve`],
+//! [`run_prefix`] and [`resume`] all enter it. It has three layers:
 //!
 //! * **Request source** ([`workloads::RequestSource`]) — where requests
 //!   come from: [`workloads::TraceSource`] replays a closed trace;
 //!   [`workloads::OpenLoopSource`] generates multi-tenant open-loop
-//!   arrivals. [`SsdSimulator::run`] is now a thin wrapper over
-//!   [`SsdSimulator::serve`] with a `TraceSource` and replay options.
-//! * **Scheduler** — per-tenant admission control (the backpressure
+//!   arrivals. [`run`] is a thin wrapper over [`serve`] with a
+//!   `TraceSource` and replay options. Sources must yield non-decreasing
+//!   arrival times; the loop rejects one that does not
+//!   ([`SimError::UnsortedArrivals`]).
+//! * **Admission** — per-tenant admission control (the backpressure
 //!   machinery in `crate::serve`) in front of the two timing
-//!   backends. Admission always uses the lumped single-queue completion
-//!   model, so admitted/dropped/deferred sets — and every logical
-//!   counter — are bit-identical across backends.
+//!   backends. Admission always runs on the lumped single-queue clock,
+//!   so admitted/dropped/deferred sets — and every logical counter — are
+//!   bit-identical across backends. The single-queue backend records
+//!   that lumped response as the measured one; the pipelined backend
+//!   hands the admitted op chains to its streaming event scheduler.
 //! * **Accounting** — run-wide [`SimStats`] plus per-tenant
 //!   [`TenantStats`] (arrivals, drops, defers, latency SLO tracking),
 //!   mirrored into `flexlevel-obs` with tenant labels.
+//!
+//! [`run`]: SsdSimulator::run
+//! [`serve`]: SsdSimulator::serve
+//! [`run_prefix`]: SsdSimulator::run_prefix
+//! [`resume`]: SsdSimulator::resume
 
 use flash_model::{BlockId, CellMode, Micros};
 use flexlevel::{AccessEvalController, Migration};
@@ -50,15 +63,15 @@ use workloads::{IoOp, IoRequest, RequestSource, TenantRequest, Trace, TraceSourc
 
 use crate::buffer::WriteBuffer;
 use crate::config::{Scheme, SsdConfig, TimingModel};
-use crate::device::{ReliabilityState, ResourcePool};
-use crate::events::EventQueue;
+use crate::device::ReliabilityState;
 use crate::faults::{CrashPlan, CrashTrigger, FaultState};
 use crate::ftl::{FtlError, JournalRecord, OpCost, PageMapFtl, RecoveryReport, TornPage};
 use crate::obs::SimObserver;
-use crate::pipeline::{expand_ops, FlashOp, Stage};
+use crate::pipeline::FlashOp;
 use crate::recovery;
 use crate::recovery::{config_fingerprint, DeviceImage, ImageError};
 use crate::scenario::EnvironmentState;
+use crate::scheduler::{Request, Scheduler};
 use crate::serve::{Admit, Backpressure, ServeError, ServeOptions};
 use crate::stats::{SimStats, TenantStats};
 
@@ -80,6 +93,13 @@ pub enum SimError {
     PowerLoss {
         /// Zero-based index of the request being served when power died.
         at_request: u64,
+    },
+    /// The source yielded a request arriving before its predecessor,
+    /// breaking the [`RequestSource`] ordering contract (an unsorted
+    /// trace file, for instance).
+    UnsortedArrivals {
+        /// Zero-based index of the out-of-order request.
+        index: u64,
     },
 }
 
@@ -103,6 +123,10 @@ impl std::fmt::Display for SimError {
             SimError::PowerLoss { at_request } => {
                 write!(f, "sudden power-off while serving request {at_request}")
             }
+            SimError::UnsortedArrivals { index } => write!(
+                f,
+                "request {index} arrives before its predecessor (arrival times must not decrease)"
+            ),
         }
     }
 }
@@ -111,7 +135,9 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Ftl(e) => Some(e),
-            SimError::FootprintTooLarge { .. } | SimError::PowerLoss { .. } => None,
+            SimError::FootprintTooLarge { .. }
+            | SimError::PowerLoss { .. }
+            | SimError::UnsortedArrivals { .. } => None,
         }
     }
 }
@@ -128,25 +154,29 @@ pub struct CrashCut {
 }
 
 /// What the logical layer decided one page access costs: lumped
-/// foreground/background time for the single-queue model, plus the
-/// staged op chains for the pipelined model (left empty when the
-/// single-queue model runs, so the hot path allocates nothing).
+/// foreground/background time.
 #[derive(Debug, Default)]
 struct PageCharge {
     fg: Micros,
     bg: Micros,
-    fg_ops: Vec<FlashOp>,
-    bg_ops: Vec<FlashOp>,
 }
 
-/// A whole host request's logical outcome.
+/// A whole host request's lumped cost.
 #[derive(Debug)]
 struct RequestPlan {
     fg: Micros,
     bg: Micros,
     is_read: bool,
-    fg_ops: Vec<FlashOp>,
-    bg_ops: Vec<FlashOp>,
+}
+
+/// One request's foreground and background op chains for the pipelined
+/// model. The serving loop reuses one pair of buffers across requests;
+/// under the single-queue model they stay empty, so the hot path
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct OpChains {
+    fg: Vec<FlashOp>,
+    bg: Vec<FlashOp>,
 }
 
 /// Scheme-resolved cost of one flash read: the lumped foreground charge,
@@ -365,8 +395,8 @@ impl SsdSimulator {
         Ok(&self.stats)
     }
 
-    /// The shared serving loop behind [`run`](Self::run) and
-    /// [`serve`](Self::serve).
+    /// Preload, tenant set-up, then the serving loop: the body of
+    /// [`run`](Self::run) and [`serve`](Self::serve).
     fn run_source<S: RequestSource>(
         &mut self,
         source: &mut S,
@@ -383,15 +413,7 @@ impl SsdSimulator {
                 o.ensure_tenants(options);
             }
         }
-        match self.config.timing_model {
-            TimingModel::SingleQueue => self.run_source_single(source, options)?,
-            TimingModel::Pipelined => self.run_source_pipelined(source, options)?,
-        }
-        if let Some(o) = self.obs.as_mut() {
-            o.flush_deferred();
-            o.finish_run(&self.stats, self.host_pages_written);
-        }
-        Ok(())
+        self.serve_loop(source, options)
     }
 
     /// Writes every footprint page once (uncharged) so the device starts
@@ -652,12 +674,7 @@ impl SsdSimulator {
     pub fn run_prefix(&mut self, trace: &Trace, stop: u64) -> Result<&SimStats, SimError> {
         self.preload_pages(trace.footprint_pages)?;
         self.stop_after = Some(stop);
-        let mut source = TraceSource::new(trace);
-        let options = ServeOptions::replay();
-        let outcome = match self.config.timing_model {
-            TimingModel::SingleQueue => self.run_source_single(&mut source, &options),
-            TimingModel::Pipelined => self.run_source_pipelined(&mut source, &options),
-        };
+        let outcome = self.serve_loop(&mut TraceSource::new(trace), &ServeOptions::replay());
         self.stop_after = None;
         outcome?;
         Ok(&self.stats)
@@ -674,15 +691,7 @@ impl SsdSimulator {
     /// plan fires during the resumed portion.
     pub fn resume(&mut self, trace: &Trace) -> Result<&SimStats, SimError> {
         let mut source = TraceSource::starting_at(trace, self.request_cursor as usize);
-        let options = ServeOptions::replay();
-        match self.config.timing_model {
-            TimingModel::SingleQueue => self.run_source_single(&mut source, &options)?,
-            TimingModel::Pipelined => self.run_source_pipelined(&mut source, &options)?,
-        }
-        if let Some(o) = self.obs.as_mut() {
-            o.flush_deferred();
-            o.finish_run(&self.stats, self.host_pages_written);
-        }
+        self.serve_loop(&mut source, &ServeOptions::replay())?;
         Ok(&self.stats)
     }
 
@@ -694,42 +703,104 @@ impl SsdSimulator {
         self.stats.checkpoint_age_requests = checkpoint_age_requests;
     }
 
-    /// Drains `source` under the single-queue model: an admitted request
-    /// queues on the channel its first page maps to (no earlier than its
-    /// submission time), pays its lumped latency, and background work
-    /// extends the horizon behind it. With replay options the admission
-    /// layer is a no-op and the arithmetic reduces exactly to the
-    /// pre-serving replay loop.
-    fn run_source_single<S: RequestSource>(
+    /// The one serving loop behind every entry point: pulls `source`
+    /// until it drains (or the [`run_prefix`](Self::run_prefix) bound
+    /// stops it), then settles timing and — unless stopped early —
+    /// flushes the final series window and finishes observability
+    /// export. A prefix run's open window and unfinished export instead
+    /// ride the device image into the resumed run, so a split campaign's
+    /// outputs match an uninterrupted one's byte for byte.
+    fn serve_loop<S: RequestSource>(
         &mut self,
         source: &mut S,
         options: &ServeOptions,
     ) -> Result<(), SimError> {
-        let tenanted = options.tenanted();
+        let mut scheduler = self
+            .pipelined()
+            .then(|| Scheduler::new(&self.config, options.tenanted()));
+        // Admission runs on a copy of the lumped clock that only the
+        // single-queue model keeps: under the pipelined model the
+        // device's own horizons — and so its checkpoint images — never
+        // move.
+        let mut clock = self.channel_free_at.clone();
         let mut backpressure = Backpressure::new(options);
-        loop {
-            if self
-                .stop_after
-                .is_some_and(|stop| self.request_cursor >= stop)
-            {
-                break;
+        let outcome = self.admit_all(
+            source,
+            options,
+            &mut backpressure,
+            &mut clock,
+            scheduler.as_mut(),
+        );
+        if scheduler.is_none() {
+            self.channel_free_at = clock;
+        }
+        outcome?;
+        self.stats.makespan_us = match scheduler.as_mut() {
+            Some(s) => {
+                s.drain(None, &mut self.stats, &mut self.obs);
+                s.busy_until().as_f64()
             }
+            None => self
+                .channel_free_at
+                .iter()
+                .fold(0.0_f64, |acc, t| acc.max(t.as_f64())),
+        };
+        if self.stop_after.is_none() {
+            if let Some(o) = self.obs.as_mut() {
+                o.series_flush(&self.stats, &backpressure);
+                o.finish_run(&self.stats, self.host_pages_written);
+            }
+        }
+        Ok(())
+    }
+
+    /// Pulls requests in arrival order through admission control and the
+    /// logical layer. An admitted request queues on the channel its
+    /// first page maps to (no earlier than its submission time) of the
+    /// lumped `clock`, pays its lumped latency, and background work
+    /// extends the horizon behind it. Without a `scheduler` that lumped
+    /// response is the measured one (the single-queue model); with one,
+    /// the request's op chains go to the scheduler, which first resolves
+    /// every event before the request's arrival.
+    fn admit_all<S: RequestSource>(
+        &mut self,
+        source: &mut S,
+        options: &ServeOptions,
+        backpressure: &mut Backpressure,
+        clock: &mut [Micros],
+        mut scheduler: Option<&mut Scheduler>,
+    ) -> Result<(), SimError> {
+        let tenanted = options.tenanted();
+        let mut last_arrival = f64::NEG_INFINITY;
+        let mut ops = OpChains::default();
+        while self
+            .stop_after
+            .is_none_or(|stop| self.request_cursor < stop)
+        {
             let Some(TenantRequest { tenant, request }) = source.next_request() else {
                 break;
             };
-            if let Some(o) = self.obs.as_mut() {
-                o.on_arrival(request.arrival_us, &self.stats, &backpressure);
-            }
             let at = self.request_cursor;
+            if request.arrival_us.total_cmp(&last_arrival).is_lt() {
+                return Err(SimError::UnsortedArrivals { index: at });
+            }
+            last_arrival = request.arrival_us;
+            let arrival = Micros(request.arrival_us);
+            if let Some(s) = scheduler.as_deref_mut() {
+                s.drain(Some(arrival), &mut self.stats, &mut self.obs);
+            }
+            if let Some(o) = self.obs.as_mut() {
+                o.on_arrival(request.arrival_us, &self.stats, backpressure);
+            }
             self.request_cursor += 1;
             if tenanted {
                 self.stats.tenants[tenant as usize].arrivals += 1;
             }
-            let submit_us = match backpressure.admit(tenant, request.arrival_us) {
-                Admit::Now => request.arrival_us,
-                Admit::DeferredUntil(at) => {
+            let submit = match backpressure.admit(tenant, request.arrival_us) {
+                Admit::Now => arrival,
+                Admit::DeferredUntil(until) => {
                     self.stats.tenants[tenant as usize].deferred += 1;
-                    at
+                    Micros(until)
                 }
                 Admit::Drop => {
                     self.stats.tenants[tenant as usize].dropped += 1;
@@ -742,20 +813,15 @@ impl SsdSimulator {
                 }
             }
             let records_before = self.ftl.journal().map_or(0, <[_]>::len);
-            let plan = self.serve_logical(&request)?;
-            let channel = (request.lpn % self.channel_free_at.len() as u64) as usize;
-            let arrival = Micros(request.arrival_us);
-            let start = Micros(submit_us).max(self.channel_free_at[channel]);
-            let response = (start - arrival) + plan.fg;
-            self.stats.record_response(response, plan.is_read);
-            if let Some(o) = self.obs.as_mut() {
-                o.end_request_single(arrival, start, response);
-            }
-            self.channel_free_at[channel] = start + plan.fg + plan.bg;
+            let plan = self.serve_logical(&request, &mut ops)?;
+            let channel = (request.lpn % clock.len() as u64) as usize;
+            let start = submit.max(clock[channel]);
+            clock[channel] = start + plan.fg + plan.bg;
             backpressure.commit(tenant, (start + plan.fg).as_f64());
+            let lumped = (start - arrival) + plan.fg;
             if tenanted {
                 if let Some(o) = self.obs.as_mut() {
-                    o.tenant_lumped(tenant, ((start - arrival) + plan.fg).as_f64());
+                    o.tenant_lumped(tenant, lumped.as_f64());
                 }
                 let t = &mut self.stats.tenants[tenant as usize];
                 t.served += 1;
@@ -764,9 +830,32 @@ impl SsdSimulator {
                 } else {
                     t.writes += 1;
                 }
-                t.record_response(response);
-                if let Some(o) = self.obs.as_mut() {
-                    o.tenant_response(tenant, response);
+            }
+            match scheduler.as_deref_mut() {
+                None => {
+                    self.stats.record_response(lumped, plan.is_read);
+                    if let Some(o) = self.obs.as_mut() {
+                        o.end_request_single(arrival, start, lumped);
+                    }
+                    if tenanted {
+                        self.stats.tenants[tenant as usize].record_response(lumped);
+                        if let Some(o) = self.obs.as_mut() {
+                            o.tenant_response(tenant, lumped);
+                        }
+                    }
+                }
+                Some(s) => {
+                    let obs_key = self
+                        .obs
+                        .as_mut()
+                        .map_or(0, |o| o.end_request_deferred(arrival));
+                    let pending = Request {
+                        tenant,
+                        arrival,
+                        is_read: plan.is_read,
+                        obs_key,
+                    };
+                    s.admit(pending, submit, &ops.fg, &ops.bg, &self.config.latency);
                 }
             }
             self.ftl.record_commit(at);
@@ -774,48 +863,38 @@ impl SsdSimulator {
                 return Err(err);
             }
         }
-        // Flush the final partial series window only when the whole
-        // source drained: a prefix run's open window rides the device
-        // image so a resumed campaign's series matches an uninterrupted
-        // run's byte for byte.
-        if self.stop_after.is_none() {
-            if let Some(o) = self.obs.as_mut() {
-                o.series_flush(&self.stats, &backpressure);
-            }
-        }
-        self.stats.makespan_us = self
-            .channel_free_at
-            .iter()
-            .fold(0.0_f64, |acc, t| acc.max(t.as_f64()));
         Ok(())
     }
 
     /// Runs one request through the logical layer (buffer, FTL, wear,
     /// AccessEval), updating every operation counter and returning the
-    /// request's cost plan. Timing-model independent: decisions depend
-    /// only on the order requests are presented, which both models keep
-    /// equal to trace order.
-    fn serve_logical(&mut self, request: &IoRequest) -> Result<RequestPlan, SimError> {
+    /// request's cost plan; under the pipelined model `ops` is refilled
+    /// with the request's op chains. Timing-model independent: decisions
+    /// depend only on the order requests are presented, which both models
+    /// keep equal to trace order.
+    fn serve_logical(
+        &mut self,
+        request: &IoRequest,
+        ops: &mut OpChains,
+    ) -> Result<RequestPlan, SimError> {
         let mut plan = RequestPlan {
             fg: Micros::ZERO,
             bg: Micros::ZERO,
             is_read: request.op == IoOp::Read,
-            fg_ops: Vec::new(),
-            bg_ops: Vec::new(),
         };
+        ops.fg.clear();
+        ops.bg.clear();
         if let Some(o) = self.obs.as_mut() {
             o.begin_request(request.lpn, plan.is_read, request.arrival_us);
         }
         for lpn in request.lpns() {
             let lpn = lpn % self.ftl.logical_pages();
             let page = match request.op {
-                IoOp::Read => self.read_page(lpn)?,
-                IoOp::Write => self.write_page(lpn)?,
+                IoOp::Read => self.read_page(lpn, ops)?,
+                IoOp::Write => self.write_page(lpn, ops)?,
             };
             plan.fg += page.fg;
             plan.bg += page.bg;
-            plan.fg_ops.extend(page.fg_ops);
-            plan.bg_ops.extend(page.bg_ops);
         }
         match request.op {
             IoOp::Read => self.stats.host_reads += 1,
@@ -827,263 +906,10 @@ impl SsdSimulator {
             self.scrub_countdown += 1;
             if self.scrub_countdown >= self.config.faults.scrub_interval {
                 self.scrub_countdown = 0;
-                plan.bg += self.patrol_scrub(&mut plan.bg_ops)?;
+                plan.bg += self.patrol_scrub(&mut ops.bg)?;
             }
         }
         Ok(plan)
-    }
-
-    /// Drains `source` under the pipelined discrete-event model.
-    ///
-    /// Phase 1 runs the logical layer over all requests in arrival order
-    /// — producing exactly the counters the single-queue model produces —
-    /// and collects each request's foreground and background stage
-    /// chains. Admission decisions replay the *lumped* single-queue law
-    /// on a virtual clock, so the admitted/dropped/deferred sets match
-    /// the single-queue backend bit-for-bit. Phase 2 schedules the
-    /// admitted chains on the resource pool: a chain's next stage is
-    /// reserved the instant its previous stage completes (FCFS in
-    /// deterministic event order), and a request's response time is the
-    /// completion of its foreground chain, measured from its *original*
-    /// arrival (deferred wait included).
-    fn run_source_pipelined<S: RequestSource>(
-        &mut self,
-        source: &mut S,
-        options: &ServeOptions,
-    ) -> Result<(), SimError> {
-        struct Admission {
-            tenant: u32,
-            arrival: Micros,
-            submit: Micros,
-            is_read: bool,
-            fg: Vec<Stage>,
-            bg: Vec<Stage>,
-        }
-        enum Ev {
-            Arrive(usize),
-            StageDone(usize),
-        }
-        struct Chain {
-            stages: Vec<Stage>,
-            next: usize,
-            /// `Some(request)` marks the foreground chain whose
-            /// completion is the request's response.
-            request: Option<usize>,
-        }
-        /// Reserves the chain's next stage from `ready` and schedules its
-        /// completion event; returns the stage's service start time.
-        fn start_stage(
-            chain: &Chain,
-            id: usize,
-            ready: Micros,
-            pool: &mut ResourcePool,
-            stats: &mut SimStats,
-            obs: &mut Option<Box<SimObserver>>,
-            queue: &mut EventQueue<Ev>,
-        ) -> Micros {
-            let stage = chain.stages[chain.next];
-            let (start, end) = pool.reserve(stage.kind, stage.lpn, ready, stage.duration);
-            stats.record_stage(stage.kind, stage.duration, start - ready);
-            if let Some(o) = obs.as_mut() {
-                o.record_stage(stage.kind, stage.duration, start - ready);
-            }
-            queue.push(end, Ev::StageDone(id));
-            start
-        }
-
-        let tenanted = options.tenanted();
-        let mut backpressure = Backpressure::new(options);
-        // The virtual lumped clock admission runs against: the same
-        // per-channel horizons the single-queue backend would advance, so
-        // both backends admit, drop and defer exactly the same requests.
-        let mut lumped_free_at = self.channel_free_at.clone();
-        let mut admissions = Vec::new();
-        loop {
-            if self
-                .stop_after
-                .is_some_and(|stop| self.request_cursor >= stop)
-            {
-                break;
-            }
-            let Some(TenantRequest { tenant, request }) = source.next_request() else {
-                break;
-            };
-            if let Some(o) = self.obs.as_mut() {
-                o.on_arrival(request.arrival_us, &self.stats, &backpressure);
-            }
-            let at = self.request_cursor;
-            self.request_cursor += 1;
-            if tenanted {
-                self.stats.tenants[tenant as usize].arrivals += 1;
-            }
-            let submit_us = match backpressure.admit(tenant, request.arrival_us) {
-                Admit::Now => request.arrival_us,
-                Admit::DeferredUntil(at) => {
-                    self.stats.tenants[tenant as usize].deferred += 1;
-                    at
-                }
-                Admit::Drop => {
-                    self.stats.tenants[tenant as usize].dropped += 1;
-                    continue;
-                }
-            };
-            if tenanted {
-                if let Some(o) = self.obs.as_mut() {
-                    o.set_tenant(tenant);
-                }
-            }
-            let records_before = self.ftl.journal().map_or(0, <[_]>::len);
-            let plan = self.serve_logical(&request)?;
-            if let Some(o) = self.obs.as_mut() {
-                o.end_request_deferred(Micros(request.arrival_us));
-            }
-            let channel = (request.lpn % lumped_free_at.len() as u64) as usize;
-            let start = Micros(submit_us).max(lumped_free_at[channel]);
-            lumped_free_at[channel] = start + plan.fg + plan.bg;
-            backpressure.commit(tenant, (start + plan.fg).as_f64());
-            if tenanted {
-                if let Some(o) = self.obs.as_mut() {
-                    let lumped = (start - Micros(request.arrival_us)) + plan.fg;
-                    o.tenant_lumped(tenant, lumped.as_f64());
-                }
-                let t = &mut self.stats.tenants[tenant as usize];
-                t.served += 1;
-                if plan.is_read {
-                    t.reads += 1;
-                } else {
-                    t.writes += 1;
-                }
-            }
-            admissions.push(Admission {
-                tenant,
-                arrival: Micros(request.arrival_us),
-                submit: Micros(submit_us),
-                is_read: plan.is_read,
-                fg: expand_ops(&plan.fg_ops, &self.config.latency),
-                bg: expand_ops(&plan.bg_ops, &self.config.latency),
-            });
-            self.ftl.record_commit(at);
-            if let Some(err) = self.check_crash(at, request.arrival_us, records_before) {
-                // Power dies mid-run: the event-driven phase never happens,
-                // exactly like the single-queue backend stopping mid-trace.
-                return Err(err);
-            }
-        }
-        // Every sampled quantity is complete once the logical phase ends
-        // (phase 2 resolves only measured timing, which the series never
-        // reads), so flushing here keeps the two backends byte-identical.
-        if self.stop_after.is_none() {
-            if let Some(o) = self.obs.as_mut() {
-                o.series_flush(&self.stats, &backpressure);
-            }
-        }
-
-        let mut pool = ResourcePool::new(
-            self.config.channels,
-            self.config.dies_per_channel,
-            self.config.planes_per_die,
-            self.config.decoder_slots,
-        );
-        let mut queue = EventQueue::with_capacity(admissions.len() + 1);
-        let mut chains: Vec<Chain> = Vec::new();
-        // Arrivals are pushed in source order, so same-time arrivals pop
-        // in source order too — the (time, seq) total order does the rest.
-        // Deferred requests enter at their submission time, not arrival.
-        for (i, adm) in admissions.iter().enumerate() {
-            queue.push(adm.submit, Ev::Arrive(i));
-        }
-        while let Some(ev) = queue.pop() {
-            match ev.payload {
-                Ev::Arrive(i) => {
-                    let adm = &mut admissions[i];
-                    let fg = std::mem::take(&mut adm.fg);
-                    let bg = std::mem::take(&mut adm.bg);
-                    // Foreground first: host work wins ties against the
-                    // background chain admitted at the same instant.
-                    if fg.is_empty() {
-                        // No device work: the response is just the defer
-                        // wait (zero in replay, where submit == arrival).
-                        let response = adm.submit - adm.arrival;
-                        let (tenant, is_read) = (adm.tenant, adm.is_read);
-                        self.stats.record_response(response, is_read);
-                        if tenanted {
-                            self.stats.tenants[tenant as usize].record_response(response);
-                        }
-                        if let Some(o) = self.obs.as_mut() {
-                            o.deferred_finished(i, response);
-                            if tenanted {
-                                o.tenant_response(tenant, response);
-                            }
-                        }
-                    } else {
-                        let id = chains.len();
-                        chains.push(Chain {
-                            stages: fg,
-                            next: 0,
-                            request: Some(i),
-                        });
-                        let start = start_stage(
-                            &chains[id],
-                            id,
-                            ev.time,
-                            &mut pool,
-                            &mut self.stats,
-                            &mut self.obs,
-                            &mut queue,
-                        );
-                        if let Some(o) = self.obs.as_mut() {
-                            o.deferred_started(i, start);
-                        }
-                    }
-                    if !bg.is_empty() {
-                        let id = chains.len();
-                        chains.push(Chain {
-                            stages: bg,
-                            next: 0,
-                            request: None,
-                        });
-                        start_stage(
-                            &chains[id],
-                            id,
-                            ev.time,
-                            &mut pool,
-                            &mut self.stats,
-                            &mut self.obs,
-                            &mut queue,
-                        );
-                    }
-                }
-                Ev::StageDone(id) => {
-                    chains[id].next += 1;
-                    if chains[id].next < chains[id].stages.len() {
-                        start_stage(
-                            &chains[id],
-                            id,
-                            ev.time,
-                            &mut pool,
-                            &mut self.stats,
-                            &mut self.obs,
-                            &mut queue,
-                        );
-                    } else if let Some(i) = chains[id].request {
-                        let adm = &admissions[i];
-                        let response = ev.time - adm.arrival;
-                        self.stats.record_response(response, adm.is_read);
-                        if tenanted {
-                            self.stats.tenants[adm.tenant as usize].record_response(response);
-                        }
-                        if let Some(o) = self.obs.as_mut() {
-                            o.deferred_finished(i, response);
-                            if tenanted {
-                                o.tenant_response(adm.tenant, response);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.stats.makespan_us = pool.busy_until().as_f64();
-        Ok(())
     }
 
     /// Environment-adjusted raw BER of one flash read of `lpn`, also
@@ -1115,7 +941,7 @@ impl SsdSimulator {
     }
 
     /// Host read of one page.
-    fn read_page(&mut self, lpn: u64) -> Result<PageCharge, SimError> {
+    fn read_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<PageCharge, SimError> {
         let mut charge = PageCharge::default();
         if self.buffer.contains(lpn) {
             self.buffer.touch(lpn);
@@ -1125,7 +951,7 @@ impl SsdSimulator {
                 o.span_stage("transfer", charge.fg);
             }
             if self.pipelined() {
-                charge.fg_ops.push(FlashOp::HostTransfer { lpn });
+                ops.fg.push(FlashOp::HostTransfer { lpn });
             }
             return Ok(charge);
         }
@@ -1177,13 +1003,13 @@ impl SsdSimulator {
                 o.flash_read(levels, iterations);
             }
             if self.pipelined() {
-                charge.fg_ops.push(FlashOp::Read {
+                ops.fg.push(FlashOp::Read {
                     lpn,
                     extra_levels: levels,
                     decode,
                 });
             }
-            self.apply_read_faults(lpn, ber, levels, &mut charge);
+            self.apply_read_faults(lpn, ber, levels, &mut charge, ops);
             return Ok(charge);
         }
 
@@ -1200,7 +1026,7 @@ impl SsdSimulator {
             o.flash_read(plan.levels, plan.iterations);
         }
         if self.pipelined() {
-            charge.fg_ops.push(FlashOp::Read {
+            ops.fg.push(FlashOp::Read {
                 lpn,
                 extra_levels: plan.levels,
                 decode: plan.decode,
@@ -1208,7 +1034,7 @@ impl SsdSimulator {
         }
         let slot = required.min(self.config.schedule.max_extra_levels()) as usize;
         self.stats.reads_by_sensing_level[slot] += 1;
-        self.apply_read_faults(lpn, ber, plan.levels, &mut charge);
+        self.apply_read_faults(lpn, ber, plan.levels, &mut charge, ops);
 
         // AccessEval: evaluate the read and apply any migrations as
         // background work.
@@ -1217,7 +1043,7 @@ impl SsdSimulator {
             None => Vec::new(),
         };
         for migration in migrations {
-            charge.bg += self.apply_migration(migration, &mut charge.bg_ops)?;
+            charge.bg += self.apply_migration(migration, &mut ops.bg)?;
         }
         if let Some(ctrl) = self.access_eval.as_ref() {
             let s = ctrl.stats();
@@ -1279,7 +1105,7 @@ impl SsdSimulator {
     }
 
     /// Host write of one page via the write-back buffer.
-    fn write_page(&mut self, lpn: u64) -> Result<PageCharge, SimError> {
+    fn write_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<PageCharge, SimError> {
         self.host_pages_written += 1;
         self.reliability.record_write(lpn);
         let mut charge = PageCharge {
@@ -1287,10 +1113,10 @@ impl SsdSimulator {
             ..PageCharge::default()
         };
         if self.pipelined() {
-            charge.fg_ops.push(FlashOp::HostTransfer { lpn });
+            ops.fg.push(FlashOp::HostTransfer { lpn });
         }
         if let Some(evicted) = self.buffer.write(lpn) {
-            charge.bg += self.flush_page(evicted, &mut charge.bg_ops)?;
+            charge.bg += self.flush_page(evicted, &mut ops.bg)?;
         }
         Ok(charge)
     }
@@ -1312,7 +1138,14 @@ impl SsdSimulator {
     /// first-class read at that rung's sensing depth — it extends the
     /// foreground charge and, under the pipelined model, occupies die,
     /// channel and decoder resources. No-op with faults disabled.
-    fn apply_read_faults(&mut self, lpn: u64, ber: f64, levels: u32, charge: &mut PageCharge) {
+    fn apply_read_faults(
+        &mut self,
+        lpn: u64,
+        ber: f64,
+        levels: u32,
+        charge: &mut PageCharge,
+        ops: &mut OpChains,
+    ) {
         // Correlated clusters make frames inside the struck region harder
         // to decode than their (already cluster-elevated) BER alone says.
         let env_fer = self
@@ -1337,7 +1170,7 @@ impl SsdSimulator {
                 o.die_reset(lpn);
             }
             if self.pipelined() {
-                charge.fg_ops.push(FlashOp::DieReset {
+                ops.fg.push(FlashOp::DieReset {
                     lpn,
                     duration: reset,
                 });
@@ -1370,7 +1203,7 @@ impl SsdSimulator {
                 o.span_stage("retry", attempt);
             }
             if self.pipelined() {
-                charge.fg_ops.push(FlashOp::Read {
+                ops.fg.push(FlashOp::Read {
                     lpn,
                     extra_levels: rung.levels,
                     decode: self.config.latency.decode_latency(iterations),
@@ -1608,6 +1441,39 @@ mod tests {
             sim.run(&trace),
             Err(SimError::FootprintTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn unsorted_arrivals_are_rejected_on_both_backends() {
+        use crate::config::TimingModel;
+        let request = |arrival_us, lpn| IoRequest {
+            arrival_us,
+            lpn,
+            pages: 1,
+            op: IoOp::Read,
+        };
+        let trace = Trace {
+            name: "unsorted".to_string(),
+            footprint_pages: 64,
+            requests: vec![
+                request(10.0, 1),
+                request(20.0, 2),
+                request(20.0, 3),
+                request(15.0, 4),
+                request(30.0, 5),
+            ],
+        };
+        for model in [TimingModel::SingleQueue, TimingModel::Pipelined] {
+            let config = SsdConfig::scaled(Scheme::FlexLevel, 16).with_timing_model(model);
+            let mut sim = SsdSimulator::new(config);
+            let err = sim.run(&trace).expect_err("out-of-order arrival");
+            assert_eq!(err, SimError::UnsortedArrivals { index: 3 }, "{model:?}");
+            assert!(err.to_string().contains("request 3"));
+            assert!(std::error::Error::source(&err).is_none());
+            // Equal arrivals are in order: the prefix before the bad
+            // request was served.
+            assert_eq!(sim.stats().host_reads, 3);
+        }
     }
 
     #[test]

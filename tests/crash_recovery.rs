@@ -382,8 +382,10 @@ fn resume_is_backend_invariant() {
         logical_counters(sim.run(&trace).expect("golden run completes"))
     };
 
-    // Full power-loss cycle on the pipelined backend: the crash fires at
-    // admission time (phase 1), before the event-driven phase runs.
+    // Full power-loss cycle on the pipelined backend: the crash fires in
+    // the serving loop after the scheduler has resolved every event
+    // before the crash arrival, so the crashed run carries partial
+    // timing; only logical counters are compared here.
     let config =
         combo_config(Scheme::FlexLevel, "baseline").with_timing_model(TimingModel::Pipelined);
     let mut sim = SsdSimulator::new(config.clone());
