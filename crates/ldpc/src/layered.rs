@@ -1,15 +1,17 @@
-//! Layered (turbo-decoding-message-passing) min-sum decoder.
+//! Layered (turbo-decoding-message-passing) min-sum schedule.
 //!
 //! Flooding updates every check from the *previous* iteration's messages;
 //! layered decoding sweeps checks sequentially and lets later checks in
 //! the same iteration see the refreshed posteriors immediately. For QC
 //! codes this typically halves the iterations to convergence — which in a
 //! NAND controller halves the decode stage of the read latency — at
-//! identical error-rate performance. Offered alongside the flooding
-//! [`MinSumDecoder`](crate::decoder::MinSumDecoder) so the latency model
-//! can be studied under both (see the `ldpc_decode` bench).
+//! identical error-rate performance. The schedule ships as the 6-bit
+//! [`Schedule::Layered`](crate::quantized::Schedule::Layered) of the
+//! quantized decoder; this module holds its `i8` reference kernel, and
+//! the f32 flooding [`MinSumDecoder`](crate::decoder::MinSumDecoder)
+//! stays the reference it is tested against.
 
-use crate::decoder::{DecodeOutcome, DecoderGraph};
+use crate::decoder::DecoderGraph;
 use crate::quantized::{finish_failed, freeze_lanes, DecoderWorkspace, Q_MAX};
 
 /// Layered (row-staggered) schedule for the quantized batch decoder: the
@@ -155,124 +157,12 @@ pub(crate) fn decode_batch_layered_i8(
     finish_failed(n, batch, iterations, done, lane_iterations, hard, hard_out);
 }
 
-/// Layered normalized min-sum decoder.
-///
-/// ```
-/// use ldpc::{encode, DecoderGraph, LayeredDecoder, QcLdpcCode};
-///
-/// # fn main() -> Result<(), ldpc::EncodeError> {
-/// let code = QcLdpcCode::small_test_code();
-/// let graph = DecoderGraph::new(&code);
-/// let codeword = encode(&code, &vec![1u8; code.info_bits()])?;
-/// let llrs: Vec<f32> = codeword.iter().map(|&b| if b == 0 { 4.0 } else { -4.0 }).collect();
-/// assert!(LayeredDecoder::new().decode(&graph, &llrs).success);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayeredDecoder {
-    /// Maximum full sweeps over the check set.
-    pub max_iterations: u32,
-    /// Check-node normalization factor α.
-    pub normalization: f32,
-}
-
-impl LayeredDecoder {
-    /// Default configuration matching the flooding decoder (30 sweeps,
-    /// α = 0.75).
-    pub fn new() -> LayeredDecoder {
-        LayeredDecoder {
-            max_iterations: 30,
-            normalization: 0.75,
-        }
-    }
-
-    /// Decodes `channel_llrs` (positive ⇒ bit 0) over `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_llrs.len() != graph.bit_count()`.
-    pub fn decode(&self, graph: &DecoderGraph, channel_llrs: &[f32]) -> DecodeOutcome {
-        assert_eq!(
-            channel_llrs.len(),
-            graph.bit_count(),
-            "LLR length must match codeword length"
-        );
-        let edges = graph.edge_count();
-        let mut c2v = vec![0.0f32; edges];
-        let mut posterior: Vec<f32> = channel_llrs.to_vec();
-        let mut hard = vec![0u8; graph.bit_count()];
-
-        let mut iterations = 0;
-        for iter in 1..=self.max_iterations {
-            iterations = iter;
-            for c in 0..graph.check_count() {
-                let (lo, hi) = graph.check_edge_range(c);
-                // Variable-to-check messages: posterior minus this check's
-                // previous contribution.
-                let mut min1 = f32::INFINITY;
-                let mut min2 = f32::INFINITY;
-                let mut min1_edge = lo;
-                let mut sign_product = 1.0f32;
-                #[allow(clippy::needless_range_loop)] // e also feeds min1_edge
-                for e in lo..hi {
-                    let b = graph.edge_bit(e);
-                    let v = posterior[b] - c2v[e];
-                    let mag = v.abs();
-                    if v < 0.0 {
-                        sign_product = -sign_product;
-                    }
-                    if mag < min1 {
-                        min2 = min1;
-                        min1 = mag;
-                        min1_edge = e;
-                    } else if mag < min2 {
-                        min2 = mag;
-                    }
-                }
-                // New check-to-variable messages, applied immediately.
-                #[allow(clippy::needless_range_loop)] // e is compared to min1_edge
-                for e in lo..hi {
-                    let b = graph.edge_bit(e);
-                    let v_old = posterior[b] - c2v[e];
-                    let mag = if e == min1_edge { min2 } else { min1 };
-                    let self_sign = if v_old < 0.0 { -1.0 } else { 1.0 };
-                    let new = self.normalization * sign_product * self_sign * mag;
-                    posterior[b] = v_old + new;
-                    c2v[e] = new;
-                }
-            }
-            for (b, h) in hard.iter_mut().enumerate() {
-                *h = (posterior[b] < 0.0) as u8;
-            }
-            if graph.syndrome_satisfied(&hard) {
-                return DecodeOutcome {
-                    success: true,
-                    iterations,
-                    hard_decision: hard,
-                };
-            }
-        }
-        DecodeOutcome {
-            success: false,
-            iterations,
-            hard_decision: hard,
-        }
-    }
-}
-
-impl Default for LayeredDecoder {
-    fn default() -> LayeredDecoder {
-        LayeredDecoder::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::code::QcLdpcCode;
-    use crate::decoder::MinSumDecoder;
+    use crate::decoder::{DecodeOutcome, DecoderGraph, MinSumDecoder};
     use crate::encoder::{encode, random_info};
+    use crate::quantized::{DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder, Schedule};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -289,6 +179,20 @@ mod tests {
             .collect()
     }
 
+    /// One frame through the quantized decoder under `schedule`.
+    fn decode_i8(
+        graph: &DecoderGraph,
+        llrs: &[f32],
+        schedule: Schedule,
+        max_iterations: u32,
+    ) -> DecodeOutcome {
+        let qllrs = LlrQuantizer::default().quantize_table(llrs);
+        QuantizedMinSumDecoder::new()
+            .with_schedule(schedule)
+            .with_max_iterations(max_iterations)
+            .decode(graph, &qllrs, &mut DecoderWorkspace::new())
+    }
+
     #[test]
     fn clean_codeword_one_sweep() {
         let code = QcLdpcCode::small_test_code();
@@ -296,7 +200,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cw = encode(&code, &random_info(&code, &mut rng)).unwrap();
         let llrs = bsc_llrs(&cw, 0.0, &mut rng);
-        let out = LayeredDecoder::new().decode(&graph, &llrs);
+        let out = decode_i8(&graph, &llrs, Schedule::Layered, 30);
         assert!(out.success);
         assert_eq!(out.iterations, 1);
         assert_eq!(out.hard_decision, cw);
@@ -304,9 +208,9 @@ mod tests {
 
     #[test]
     fn corrects_where_flooding_does() {
+        // The 6-bit layered kernel against the f32 flooding reference.
         let code = QcLdpcCode::small_test_code();
         let graph = DecoderGraph::new(&code);
-        let layered = LayeredDecoder::new();
         let flooding = MinSumDecoder::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut layered_ok = 0;
@@ -315,7 +219,7 @@ mod tests {
             let info = random_info(&code, &mut rng);
             let cw = encode(&code, &info).unwrap();
             let llrs = bsc_llrs(&cw, 0.006, &mut rng);
-            if layered.decode(&graph, &llrs).success {
+            if decode_i8(&graph, &llrs, Schedule::Layered, 30).success {
                 layered_ok += 1;
             }
             if flooding.decode(&graph, &llrs).success {
@@ -330,11 +234,10 @@ mod tests {
 
     #[test]
     fn converges_faster_than_flooding() {
-        // The whole point of layered scheduling.
+        // The whole point of layered scheduling: same quantization, same
+        // frames, fewer sweeps.
         let code = QcLdpcCode::paper_code();
         let graph = DecoderGraph::new(&code);
-        let layered = LayeredDecoder::new();
-        let flooding = MinSumDecoder::new();
         let mut rng = StdRng::seed_from_u64(3);
         let mut layered_iters = 0u32;
         let mut flooding_iters = 0u32;
@@ -342,8 +245,8 @@ mod tests {
             let info = random_info(&code, &mut rng);
             let cw = encode(&code, &info).unwrap();
             let llrs = bsc_llrs(&cw, 4e-3, &mut rng);
-            let l = layered.decode(&graph, &llrs);
-            let f = flooding.decode(&graph, &llrs);
+            let l = decode_i8(&graph, &llrs, Schedule::Layered, 30);
+            let f = decode_i8(&graph, &llrs, Schedule::Flooding, 30);
             assert!(l.success && f.success);
             layered_iters += l.iterations;
             flooding_iters += f.iterations;
@@ -361,11 +264,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let cw = encode(&code, &random_info(&code, &mut rng)).unwrap();
         let llrs = bsc_llrs(&cw, 0.3, &mut rng);
-        let out = LayeredDecoder {
-            max_iterations: 8,
-            normalization: 0.75,
-        }
-        .decode(&graph, &llrs);
+        let out = decode_i8(&graph, &llrs, Schedule::Layered, 8);
         assert!(!out.success);
         assert_eq!(out.iterations, 8);
     }

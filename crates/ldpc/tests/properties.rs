@@ -1,8 +1,8 @@
 //! Property-based tests of the LDPC stack.
 
 use ldpc::{
-    encode, random_info, DecoderGraph, LayeredDecoder, MinSumDecoder, QcLdpcCode, SensingSchedule,
-    SoftSensingConfig,
+    encode, random_info, DecoderGraph, DecoderWorkspace, LlrQuantizer, MinSumDecoder, QcLdpcCode,
+    QuantizedMinSumDecoder, Schedule, SensingSchedule, SoftSensingConfig,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -37,8 +37,9 @@ proptest! {
         prop_assert_eq!(code.syndrome_weight(&cw), 0);
     }
 
-    /// Flooding and layered decoders agree on success for correctable
-    /// corruption (both must fix ≤2 strong-LLR flips).
+    /// The f32 flooding reference and the shipped 6-bit layered schedule
+    /// agree on success for correctable corruption (both must fix ≤2
+    /// strong-LLR flips).
     #[test]
     fn schedules_agree_on_easy_frames(seed in 0u64..300, f1 in 0usize..1280, f2 in 0usize..1280) {
         let code = QcLdpcCode::small_test_code();
@@ -51,7 +52,11 @@ proptest! {
             llrs[f] = -llrs[f];
         }
         let flood = MinSumDecoder::new().decode(&graph, &llrs);
-        let layer = LayeredDecoder::new().decode(&graph, &llrs);
+        let layer = QuantizedMinSumDecoder::new().with_schedule(Schedule::Layered).decode(
+            &graph,
+            &LlrQuantizer::default().quantize_table(&llrs),
+            &mut DecoderWorkspace::new(),
+        );
         prop_assert!(flood.success);
         prop_assert!(layer.success);
         prop_assert_eq!(flood.info_bits(&code), &info[..]);

@@ -34,7 +34,6 @@ pub mod device;
 pub mod events;
 pub mod faults;
 pub mod ftl;
-pub mod ftl_hybrid;
 pub mod lifetime;
 pub mod obs;
 pub mod pipeline;
@@ -54,7 +53,6 @@ pub use ftl::{
     BlockImage, FtlError, FtlImage, GcPolicy, JournalRecord, OpCost, PageMapFtl, RecoveryReport,
     TornPage,
 };
-pub use ftl_hybrid::HybridFtl;
 pub use lifetime::LifetimeModel;
 pub use obs::SimObserver;
 pub use pipeline::{FlashOp, Stage, StageKind};

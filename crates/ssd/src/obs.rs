@@ -45,32 +45,92 @@ use crate::pipeline::StageKind;
 use crate::serve::{Backpressure, ServeOptions};
 use crate::stats::SimStats;
 
-/// Counter columns of the windowed time series, in column order. All
-/// are *logical* `SimStats` counters — functions of the request order
-/// alone — so the series is bit-identical across thread counts and
-/// timing backends, and survives checkpoint/resume (the counters ride
-/// the device image).
-const SERIES_COUNTERS: [&str; 20] = [
-    "host_reads",
-    "host_writes",
-    "buffer_read_hits",
-    "flash_reads",
-    "flash_programs",
-    "erases",
-    "gc_runs",
-    "gc_migrated_pages",
-    "promotions",
-    "demotions",
-    "reduced_reads",
-    "retry_reads",
-    "recovered_reads",
-    "uncorrectable_reads",
-    "program_failures",
-    "retired_blocks",
-    "die_resets",
-    "scrub_runs",
-    "scrub_reads",
-    "scrub_refreshes",
+/// Reads one logical counter out of `SimStats`.
+type CounterGetter = fn(&SimStats) -> u64;
+
+/// The logical `SimStats` counters, in series column order: column
+/// name, Prometheus help text and getter. Each is exported as the
+/// counter `flexlevel_{column}_total` and as a series column. All are
+/// functions of the request order alone, so the series is bit-identical
+/// across thread counts and timing backends, and survives
+/// checkpoint/resume (the counters ride the device image).
+const COUNTERS: [(&str, &str, CounterGetter); 20] = [
+    ("host_reads", "Host read requests served.", |s| s.host_reads),
+    ("host_writes", "Host write requests served.", |s| {
+        s.host_writes
+    }),
+    (
+        "buffer_read_hits",
+        "Host page reads served from the write buffer.",
+        |s| s.buffer_read_hits,
+    ),
+    (
+        "flash_reads",
+        "Flash page reads (host + GC + migration + retry).",
+        |s| s.flash_reads,
+    ),
+    (
+        "flash_programs",
+        "Flash page programs (host + GC + migration).",
+        |s| s.flash_programs,
+    ),
+    ("erases", "Block erases.", |s| s.erases),
+    ("gc_runs", "GC invocations.", |s| s.gc_runs),
+    ("gc_migrated_pages", "Valid pages relocated by GC.", |s| {
+        s.gc_migrated_pages
+    }),
+    (
+        "promotions",
+        "AccessEval promotions into reduced pages.",
+        |s| s.promotions,
+    ),
+    (
+        "demotions",
+        "AccessEval demotions back to normal pages.",
+        |s| s.demotions,
+    ),
+    (
+        "reduced_reads",
+        "Host page reads served from reduced-state pages.",
+        |s| s.reduced_reads,
+    ),
+    (
+        "retry_reads",
+        "Extra flash read attempts spent by the recovery ladder.",
+        |s| s.retry_reads,
+    ),
+    (
+        "recovered_reads",
+        "Frame reads recovered by the retry ladder.",
+        |s| s.recovered_reads,
+    ),
+    (
+        "uncorrectable_reads",
+        "Frame reads the full ladder could not recover.",
+        |s| s.uncorrectable_reads,
+    ),
+    (
+        "program_failures",
+        "Page programs that failed their status check.",
+        |s| s.program_failures,
+    ),
+    ("retired_blocks", "Blocks retired as grown-bad.", |s| {
+        s.retired_blocks
+    }),
+    (
+        "die_resets",
+        "Transient whole-die faults cleared by a reset.",
+        |s| s.die_resets,
+    ),
+    ("scrub_runs", "Patrol-scrub block visits.", |s| s.scrub_runs),
+    ("scrub_reads", "Pages read by the patrol scrubber.", |s| {
+        s.scrub_reads
+    }),
+    (
+        "scrub_refreshes",
+        "Pages rewritten by the scrubber on retention-BER threshold.",
+        |s| s.scrub_refreshes,
+    ),
 ];
 
 /// Gauge columns of the windowed time series. Derived from logical
@@ -111,31 +171,6 @@ fn retry_rate(stats: &SimStats) -> f64 {
     stats.retry_reads as f64 / stats.host_reads as f64
 }
 
-fn base_counter_values(stats: &SimStats) -> Vec<u64> {
-    vec![
-        stats.host_reads,
-        stats.host_writes,
-        stats.buffer_read_hits,
-        stats.flash_reads,
-        stats.flash_programs,
-        stats.erases,
-        stats.gc_runs,
-        stats.gc_migrated_pages,
-        stats.promotions,
-        stats.demotions,
-        stats.reduced_reads,
-        stats.retry_reads,
-        stats.recovered_reads,
-        stats.uncorrectable_reads,
-        stats.program_failures,
-        stats.retired_blocks,
-        stats.die_resets,
-        stats.scrub_runs,
-        stats.scrub_reads,
-        stats.scrub_refreshes,
-    ]
-}
-
 /// The windowed sampler plus the lumped per-tenant SLO tallies it
 /// samples. Violations are judged against the *lumped* single-queue
 /// response (the same virtual clock admission runs on), so the tallies
@@ -162,7 +197,7 @@ impl SeriesRecorder {
         backpressure: &Backpressure,
         t_us: f64,
     ) -> (Vec<u64>, Vec<f64>) {
-        let mut counters = base_counter_values(stats);
+        let mut counters: Vec<u64> = COUNTERS.iter().map(|&(_, _, get)| get(stats)).collect();
         let mut gauges = vec![
             count_quantile(&stats.reads_by_sensing_level, 0.5),
             count_quantile(&stats.reads_by_sensing_level, 0.99),
@@ -351,7 +386,10 @@ impl SimObserver {
             sampler: SeriesSampler::new(
                 self.scheme,
                 interval_us,
-                SERIES_COUNTERS.iter().map(|s| s.to_string()).collect(),
+                COUNTERS
+                    .iter()
+                    .map(|&(column, _, _)| column.to_string())
+                    .collect(),
                 SERIES_GAUGES.iter().map(|s| s.to_string()).collect(),
             ),
             slo_targets: Vec::new(),
@@ -710,98 +748,9 @@ impl SimObserver {
             let id = registry.counter(name, help, labels);
             registry.set_counter(id, value);
         };
-        fold(
-            "flexlevel_host_reads_total",
-            "Host read requests served.",
-            stats.host_reads,
-        );
-        fold(
-            "flexlevel_host_writes_total",
-            "Host write requests served.",
-            stats.host_writes,
-        );
-        fold(
-            "flexlevel_buffer_read_hits_total",
-            "Host page reads served from the write buffer.",
-            stats.buffer_read_hits,
-        );
-        fold(
-            "flexlevel_flash_reads_total",
-            "Flash page reads (host + GC + migration + retry).",
-            stats.flash_reads,
-        );
-        fold(
-            "flexlevel_flash_programs_total",
-            "Flash page programs (host + GC + migration).",
-            stats.flash_programs,
-        );
-        fold("flexlevel_erases_total", "Block erases.", stats.erases);
-        fold("flexlevel_gc_runs_total", "GC invocations.", stats.gc_runs);
-        fold(
-            "flexlevel_gc_migrated_pages_total",
-            "Valid pages relocated by GC.",
-            stats.gc_migrated_pages,
-        );
-        fold(
-            "flexlevel_promotions_total",
-            "AccessEval promotions into reduced pages.",
-            stats.promotions,
-        );
-        fold(
-            "flexlevel_demotions_total",
-            "AccessEval demotions back to normal pages.",
-            stats.demotions,
-        );
-        fold(
-            "flexlevel_reduced_reads_total",
-            "Host page reads served from reduced-state pages.",
-            stats.reduced_reads,
-        );
-        fold(
-            "flexlevel_retry_reads_total",
-            "Extra flash read attempts spent by the recovery ladder.",
-            stats.retry_reads,
-        );
-        fold(
-            "flexlevel_recovered_reads_total",
-            "Frame reads recovered by the retry ladder.",
-            stats.recovered_reads,
-        );
-        fold(
-            "flexlevel_uncorrectable_reads_total",
-            "Frame reads the full ladder could not recover.",
-            stats.uncorrectable_reads,
-        );
-        fold(
-            "flexlevel_program_failures_total",
-            "Page programs that failed their status check.",
-            stats.program_failures,
-        );
-        fold(
-            "flexlevel_retired_blocks_total",
-            "Blocks retired as grown-bad.",
-            stats.retired_blocks,
-        );
-        fold(
-            "flexlevel_die_resets_total",
-            "Transient whole-die faults cleared by a reset.",
-            stats.die_resets,
-        );
-        fold(
-            "flexlevel_scrub_runs_total",
-            "Patrol-scrub block visits.",
-            stats.scrub_runs,
-        );
-        fold(
-            "flexlevel_scrub_reads_total",
-            "Pages read by the patrol scrubber.",
-            stats.scrub_reads,
-        );
-        fold(
-            "flexlevel_scrub_refreshes_total",
-            "Pages rewritten by the scrubber on retention-BER threshold.",
-            stats.scrub_refreshes,
-        );
+        for &(column, help, get) in &COUNTERS {
+            fold(&format!("flexlevel_{column}_total"), help, get(stats));
+        }
         // Recovery counters only exist after a crash-restore; gating on
         // nonzero keeps every pre-existing export byte-identical.
         if stats.journal_replayed > 0 {

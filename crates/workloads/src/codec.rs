@@ -85,11 +85,15 @@ pub fn decode(mut data: &[u8]) -> Result<Trace, DecodeError> {
         .to_owned();
     data.advance(name_len);
     let footprint_pages = data.get_u64_le();
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * 24 {
-        return Err(DecodeError::Truncated);
+    let count = data.get_u64_le();
+    // A hostile count can overflow the record-size product; no input that
+    // large can hold its records, so it is truncated either way.
+    match count.checked_mul(24) {
+        Some(need) if need <= data.remaining() as u64 => {}
+        _ => return Err(DecodeError::Truncated),
     }
-    let mut requests = Vec::with_capacity(count);
+    // Fits in usize: the records were just bounded by the input length.
+    let mut requests = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let arrival_us = data.get_f64_le();
         let lpn = data.get_u64_le();
@@ -202,6 +206,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_overflowing_record_count() {
+        // `count * 24` wraps to 8 for this count; the header must still
+        // be rejected, not trusted into a huge allocation.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&(u64::MAX / 24 + 1).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 8]);
+        assert_eq!(bytes.len(), 30);
+        assert_eq!(decode(&bytes), Err(DecodeError::Truncated));
+    }
+
+    #[test]
     fn rejects_bad_op() {
         let trace = Trace {
             name: "x".into(),
@@ -229,5 +246,55 @@ mod tests {
         let encoded = encode(&trace);
         // 24 bytes per request plus a small header.
         assert!(encoded.len() < 24 * 1_000 + 64);
+    }
+
+    /// A well-formed header over raw 24-byte `records`, then `tail`.
+    fn framed(name: &str, records: &[Vec<u8>], tail: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for r in records {
+            bytes.extend_from_slice(r);
+        }
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    proptest::proptest! {
+        /// Untrusted bytes — raw, or a valid frame with one byte
+        /// scrambled and possibly a forged record count — decode to a
+        /// typed error or a trace, never a panic. A decoded trace
+        /// re-encodes to the input's prefix, except for the three padding
+        /// bytes per record, which decoding ignores and encoding writes
+        /// as zero.
+        #[test]
+        fn decode_is_total_and_reencodes_its_prefix(
+            raw in proptest::collection::vec(0u8..=255, 0..96),
+            name in "[a-z]{0,6}",
+            records in proptest::collection::vec(proptest::collection::vec(0u8..=2, 24), 0..4),
+            flip in (0usize..256, 0u8..=255),
+            forged_count in (proptest::bool::ANY, 0u64..=u64::MAX),
+        ) {
+            let mut framed = framed(&name, &records, &raw);
+            if forged_count.0 {
+                let at = 4 + 2 + name.len() + 8;
+                framed[at..at + 8].copy_from_slice(&forged_count.1.to_le_bytes());
+            }
+            let at = flip.0 % framed.len();
+            framed[at] ^= flip.1;
+            for input in [&raw, &framed] {
+                let Ok(trace) = decode(input) else { continue };
+                let encoded = encode(&trace);
+                proptest::prop_assert!(encoded.len() <= input.len());
+                let records_at = encoded.len() - trace.len() * 24;
+                let mut expected = input[..encoded.len()].to_vec();
+                for record in expected[records_at..].chunks_mut(24) {
+                    record[21..].fill(0);
+                }
+                proptest::prop_assert_eq!(&encoded[..], &expected[..]);
+            }
+        }
     }
 }

@@ -164,29 +164,6 @@ proptest! {
         }
     }
 
-    /// Hybrid (FAST-style) FTL: after any write sequence within capacity,
-    /// every written LPN resolves to a valid physical page and the free
-    /// pool never leaks blocks.
-    #[test]
-    fn hybrid_ftl_mapping_consistent(writes in prop::collection::vec(0u64..600, 1..400)) {
-        let geometry = flash_model::DeviceGeometry::scaled(16).unwrap();
-        let mut ftl = ssd::HybridFtl::new(geometry, 3);
-        let mut written = std::collections::HashSet::new();
-        for lpn in writes {
-            ftl.write(lpn).unwrap();
-            written.insert(lpn);
-        }
-        for &lpn in &written {
-            let phys = ftl.placement(lpn).expect("written page resolves");
-            prop_assert!(geometry.contains(phys));
-        }
-        // Unwritten pages stay unmapped.
-        let unwritten = (0..ftl.logical_pages()).find(|l| !written.contains(l));
-        if let Some(l) = unwritten {
-            prop_assert!(ftl.placement(l).is_none());
-        }
-    }
-
     /// Device images round-trip bit-identically through the binary
     /// codec from any checkpoint position, and damaged bytes always
     /// surface as typed errors — never a panic, never a silent
