@@ -24,8 +24,6 @@
 //! does not flip a marginal message — see `tests/quantized_parity.rs` for
 //! the statistical FER-parity bound.
 
-use std::sync::OnceLock;
-
 use crate::decoder::{DecodeOutcome, DecoderGraph};
 
 /// Saturation magnitude of quantized LLRs and messages: 6-bit symmetric,
@@ -67,27 +65,6 @@ pub enum DecodeKernel {
     /// bit-planes, 64 codeword lanes per machine word, and the min/sign
     /// reductions are pure boolean algebra — see [`crate::bitplane`].
     BitPlane,
-}
-
-impl DecodeKernel {
-    /// Environment variable selecting the process-wide default kernel:
-    /// `bitplane` or `i8` (alias `i8-soa`). Unset or unrecognized values
-    /// keep the built-in default ([`BitPlane`](Self::BitPlane)); because
-    /// the kernels are bit-exact peers, flipping the variable never
-    /// changes results, only throughput.
-    pub const ENV: &'static str = "FLEXLEVEL_DECODE_KERNEL";
-
-    /// The process-wide default kernel: [`Self::ENV`] if set, otherwise
-    /// the bit-plane kernel. Read once and cached for the process
-    /// lifetime.
-    pub fn from_env() -> DecodeKernel {
-        static CACHE: OnceLock<DecodeKernel> = OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var(DecodeKernel::ENV).as_deref() {
-            Ok("i8") | Ok("i8-soa") => DecodeKernel::I8Soa,
-            Ok("bitplane") => DecodeKernel::BitPlane,
-            _ => DecodeKernel::BitPlane,
-        })
-    }
 }
 
 /// Maps f32 channel LLRs onto the decoder's `i8` domain.
@@ -321,14 +298,13 @@ pub struct QuantizedMinSumDecoder {
 
 impl QuantizedMinSumDecoder {
     /// The reproduction's configuration: 30 iterations, flooding
-    /// schedule, kernel from [`DecodeKernel::from_env`]. The
-    /// normalization is fixed at α = 3/4, computed exactly as
-    /// `(3·m) >> 2`.
+    /// schedule, bit-plane kernel. The normalization is fixed at
+    /// α = 3/4, computed exactly as `(3·m) >> 2`.
     pub fn new() -> QuantizedMinSumDecoder {
         QuantizedMinSumDecoder {
             max_iterations: 30,
             schedule: Schedule::Flooding,
-            kernel: DecodeKernel::from_env(),
+            kernel: DecodeKernel::BitPlane,
         }
     }
 
@@ -347,7 +323,7 @@ impl QuantizedMinSumDecoder {
     }
 
     /// Returns the decoder pinned to a specific kernel (overriding the
-    /// [`DecodeKernel::from_env`] default).
+    /// bit-plane default).
     #[must_use]
     pub fn with_kernel(mut self, kernel: DecodeKernel) -> QuantizedMinSumDecoder {
         self.kernel = kernel;

@@ -215,7 +215,10 @@ fn parse_args() -> Result<Args, String> {
             "--blocks" => {
                 args.blocks = value("--blocks")?
                     .parse()
-                    .map_err(|e| format!("--blocks: {e}"))?
+                    .map_err(|e| format!("--blocks: {e}"))?;
+                if args.blocks == 0 {
+                    return Err("--blocks must be at least 1".to_string());
+                }
             }
             "--requests" => {
                 args.requests = value("--requests")?

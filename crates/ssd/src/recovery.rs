@@ -123,12 +123,13 @@ pub fn resolve(
 // ---------------------------------------------------------------------
 
 use flash_model::{BlockId, CellMode};
-use flexlevel::AccessEvalSnapshot;
+use flexlevel::{AccessEvalSnapshot, AccessEvalStats};
+use obs::{SeriesSnapshot, SeriesState};
 use workloads::Trace;
 
 use crate::config::SsdConfig;
 use crate::ftl::{BlockImage, Fnv, FtlImage, GcPolicy, JournalRecord, TornPage};
-use crate::stats::{SimStats, StageAccount};
+use crate::stats::{SimStats, StageAccount, TenantStats};
 
 /// Why a [`DeviceImage`] could not be decoded or restored. Corrupted or
 /// truncated input always surfaces as one of these — never a panic.
@@ -227,9 +228,12 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
 /// read-disturb counters, statistics, and the request cursor.
 ///
 /// Serialized with the same conventions as `workloads::codec`: magic
-/// prefix, version, little-endian, length-prefixed collections, floats
-/// as IEEE-754 bits. Pure caches (BER memos, FER memos) are excluded —
-/// they repopulate deterministically.
+/// prefix, version, little-endian, `u32`-length-prefixed collections,
+/// presence-byte options, floats as IEEE-754 bits. Each layout is
+/// declared once in this module — the field lists of `wire_struct!` and
+/// the variant tags of `wire_enum!` — and both `to_bytes` and
+/// `from_bytes` are generated from it. Pure caches (BER memos, FER
+/// memos) are excluded — they repopulate deterministically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceImage {
     /// Fingerprint of the [`SsdConfig`] the image was checkpointed under.
@@ -277,7 +281,7 @@ pub struct DeviceImage {
     /// baselines), so a resumed campaign's series continues byte-for-byte
     /// where the checkpointed run left off. `None` when the checkpointed
     /// run recorded no series (including every version-1 image).
-    pub series: Option<obs::SeriesState>,
+    pub series: Option<SeriesState>,
 }
 
 const IMAGE_MAGIC: &[u8; 4] = b"FXD1";
@@ -285,481 +289,267 @@ const IMAGE_MAGIC: &[u8; 4] = b"FXD1";
 /// (no series) still decode.
 const IMAGE_VERSION: u16 = 2;
 
-/// Little-endian encoder over a growable byte buffer.
-struct Enc {
-    buf: Vec<u8>,
+/// A device-image wire layout. `put` and `get` of every struct and enum
+/// are generated from one declaration (`wire_struct!`, `wire_enum!`),
+/// so the encoder and decoder cannot drift apart.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError>;
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc {
-            buf: Vec::with_capacity(4096),
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    fn len(&mut self, n: usize) {
-        self.u32(n as u32);
-    }
-}
-
-/// Little-endian decoder with explicit remaining-length checks; every
-/// short read surfaces as [`ImageError::Truncated`].
+/// Decoder cursor with explicit remaining-length checks; every short
+/// read surfaces as [`ImageError::Truncated`].
 struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
+    /// Format version read from the header; gates fields added later.
+    version: u16,
 }
 
 impl<'a> Dec<'a> {
-    fn new(data: &'a [u8]) -> Dec<'a> {
-        Dec { data, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.data.len() - self.pos < n {
-            return Err(ImageError::Truncated);
-        }
-        let out = &self.data[self.pos..self.pos + n];
+        let out = self
+            .data
+            .get(self.pos..self.pos + n)
+            .ok_or(ImageError::Truncated)?;
         self.pos += n;
         Ok(out)
     }
+}
 
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
+/// Little-endian fixed-width integers.
+macro_rules! wire_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact width")))
+            }
+        }
+    )+};
+}
+wire_int!(u8, u16, u32, u64);
+
+impl Wire for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
     }
-
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        u64::get(d).map(f64::from_bits)
     }
+}
 
-    fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self).put(buf);
     }
-
-    fn u64(&mut self) -> Result<u64, ImageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ImageError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, ImageError> {
-        match self.u8()? {
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        match u8::get(d)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(ImageError::Corrupt("boolean out of range")),
         }
     }
+}
 
-    fn len(&mut self) -> Result<usize, ImageError> {
-        let n = self.u32()? as usize;
-        // A length can never exceed the bytes that remain (every element
-        // is at least one byte) — reject absurd lengths before allocating.
-        if n > self.data.len() - self.pos {
+impl Wire for BlockId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        u32::get(d).map(BlockId)
+    }
+}
+
+/// A presence byte (`0` absent, `1` present), then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                1u8.put(buf);
+                v.put(buf);
+            }
+            None => 0u8.put(buf),
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => T::get(d).map(Some),
+            _ => Err(ImageError::Corrupt("presence byte out of range")),
+        }
+    }
+}
+
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let n = u32::try_from(self.len()).expect("image collections hold fewer than 2^32 items");
+        n.put(buf);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        let n = u32::get(d)? as usize;
+        // A count can never exceed the bytes that remain (every element
+        // that decodes is at least one byte) — reject absurd counts
+        // before allocating.
+        if n > d.data.len() - d.pos {
             return Err(ImageError::Truncated);
         }
-        Ok(n)
-    }
-
-    fn done(&self) -> Result<(), ImageError> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(ImageError::Corrupt("trailing bytes"))
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let v = T::get(d)?;
+            // Allocate once the first element has decoded, so a forged
+            // count of elements that never decode (`TenantStats`)
+            // allocates nothing.
+            out.reserve_exact(n - out.len());
+            out.push(v);
         }
-    }
-}
-
-fn encode_stage(e: &mut Enc, s: &StageAccount) {
-    e.u64(s.ops);
-    e.f64(s.busy_us);
-    e.f64(s.wait_us);
-}
-
-fn decode_stage(d: &mut Dec<'_>) -> Result<StageAccount, ImageError> {
-    Ok(StageAccount {
-        ops: d.u64()?,
-        busy_us: d.f64()?,
-        wait_us: d.f64()?,
-    })
-}
-
-fn encode_stats(e: &mut Enc, s: &SimStats) {
-    e.u64(s.host_reads);
-    e.u64(s.host_writes);
-    e.u64(s.buffer_read_hits);
-    e.u64(s.flash_reads);
-    e.u64(s.flash_programs);
-    e.u64(s.erases);
-    e.u64(s.gc_runs);
-    e.u64(s.gc_migrated_pages);
-    e.u64(s.promotions);
-    e.u64(s.demotions);
-    e.u64(s.reduced_reads);
-    e.len(s.reads_by_sensing_level.len());
-    for &v in &s.reads_by_sensing_level {
-        e.u64(v);
-    }
-    e.f64(s.total_response_us);
-    e.f64(s.read_response_us);
-    e.f64(s.max_response_us);
-    e.len(s.response_samples.len());
-    for &v in &s.response_samples {
-        e.f64(v);
-    }
-    e.u64(s.responses_seen);
-    e.u64(s.sample_state);
-    e.f64(s.makespan_us);
-    e.u64(s.retry_reads);
-    e.u64(s.recovered_reads);
-    e.u64(s.uncorrectable_reads);
-    e.len(s.retry_depth_histogram.len());
-    for &v in &s.retry_depth_histogram {
-        e.u64(v);
-    }
-    e.u64(s.program_failures);
-    e.u64(s.retired_blocks);
-    e.u64(s.die_resets);
-    e.u64(s.scrub_runs);
-    e.u64(s.scrub_reads);
-    e.u64(s.scrub_refreshes);
-    e.f64(s.recovery_latency_us);
-    encode_stage(e, &s.stage_sense);
-    encode_stage(e, &s.stage_transfer);
-    encode_stage(e, &s.stage_decode);
-    encode_stage(e, &s.stage_program);
-    encode_stage(e, &s.stage_erase);
-    // Tenanted (open-loop serving) state is not checkpointable; the
-    // count is stored so the decoder can reject a hand-edited image.
-    e.len(s.tenants.len());
-    e.u64(s.journal_replayed);
-    e.u64(s.torn_pages_discarded);
-    e.u64(s.checkpoint_age_requests);
-}
-
-// Sequential assignment keeps every `d.xxx()?` on its own line in wire
-// order, mirroring `encode_stats` field for field.
-#[allow(clippy::field_reassign_with_default)]
-fn decode_stats(d: &mut Dec<'_>) -> Result<SimStats, ImageError> {
-    let mut s = SimStats::default();
-    s.host_reads = d.u64()?;
-    s.host_writes = d.u64()?;
-    s.buffer_read_hits = d.u64()?;
-    s.flash_reads = d.u64()?;
-    s.flash_programs = d.u64()?;
-    s.erases = d.u64()?;
-    s.gc_runs = d.u64()?;
-    s.gc_migrated_pages = d.u64()?;
-    s.promotions = d.u64()?;
-    s.demotions = d.u64()?;
-    s.reduced_reads = d.u64()?;
-    let n = d.len()?;
-    s.reads_by_sensing_level = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-    s.total_response_us = d.f64()?;
-    s.read_response_us = d.f64()?;
-    s.max_response_us = d.f64()?;
-    let n = d.len()?;
-    s.response_samples = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
-    s.responses_seen = d.u64()?;
-    s.sample_state = d.u64()?;
-    s.makespan_us = d.f64()?;
-    s.retry_reads = d.u64()?;
-    s.recovered_reads = d.u64()?;
-    s.uncorrectable_reads = d.u64()?;
-    let n = d.len()?;
-    s.retry_depth_histogram = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-    s.program_failures = d.u64()?;
-    s.retired_blocks = d.u64()?;
-    s.die_resets = d.u64()?;
-    s.scrub_runs = d.u64()?;
-    s.scrub_reads = d.u64()?;
-    s.scrub_refreshes = d.u64()?;
-    s.recovery_latency_us = d.f64()?;
-    s.stage_sense = decode_stage(d)?;
-    s.stage_transfer = decode_stage(d)?;
-    s.stage_decode = decode_stage(d)?;
-    s.stage_program = decode_stage(d)?;
-    s.stage_erase = decode_stage(d)?;
-    if d.len()? != 0 {
-        return Err(ImageError::Corrupt("tenanted stats in device image"));
-    }
-    s.journal_replayed = d.u64()?;
-    s.torn_pages_discarded = d.u64()?;
-    s.checkpoint_age_requests = d.u64()?;
-    Ok(s)
-}
-
-fn encode_record(e: &mut Enc, r: &JournalRecord) {
-    match *r {
-        JournalRecord::Write {
-            lpn,
-            block,
-            page,
-            mode,
-        } => {
-            e.u8(1);
-            e.u64(lpn);
-            e.u32(block.0);
-            e.u32(page);
-            e.u8(match mode {
-                CellMode::Normal => 0,
-                CellMode::Reduced => 1,
-            });
-        }
-        JournalRecord::Invalidate { lpn } => {
-            e.u8(2);
-            e.u64(lpn);
-        }
-        JournalRecord::Map { lpn, block, page } => {
-            e.u8(3);
-            e.u64(lpn);
-            e.u32(block.0);
-            e.u32(page);
-        }
-        JournalRecord::Erase { block } => {
-            e.u8(4);
-            e.u32(block.0);
-        }
-        JournalRecord::Retire { block } => {
-            e.u8(5);
-            e.u32(block.0);
-        }
-        JournalRecord::Commit { request } => {
-            e.u8(6);
-            e.u64(request);
-        }
+        Ok(out)
     }
 }
 
-fn decode_record(d: &mut Dec<'_>) -> Result<JournalRecord, ImageError> {
-    Ok(match d.u8()? {
-        1 => JournalRecord::Write {
-            lpn: d.u64()?,
-            block: BlockId(d.u32()?),
-            page: d.u32()?,
-            mode: match d.u8()? {
-                0 => CellMode::Normal,
-                1 => CellMode::Reduced,
-                _ => return Err(ImageError::Corrupt("cell mode out of range")),
-            },
-        },
-        2 => JournalRecord::Invalidate { lpn: d.u64()? },
-        3 => JournalRecord::Map {
-            lpn: d.u64()?,
-            block: BlockId(d.u32()?),
-            page: d.u32()?,
-        },
-        4 => JournalRecord::Erase {
-            block: BlockId(d.u32()?),
-        },
-        5 => JournalRecord::Retire {
-            block: BlockId(d.u32()?),
-        },
-        6 => JournalRecord::Commit { request: d.u64()? },
-        _ => return Err(ImageError::Corrupt("unknown journal record tag")),
-    })
+/// The elements back to back, no count.
+impl<T: Wire + Default, const N: usize> Wire for [T; N] {
+    fn put(&self, buf: &mut Vec<u8>) {
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for v in &mut out {
+            *v = T::get(d)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Tuples: the elements in order.
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+                Ok(($($t::get(d)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// Declares a struct's layout once: its fields in wire order. A field
+/// marked `since V` is absent from images older than version `V` and
+/// decodes to its default there.
+macro_rules! wire_struct {
+    (@get $d:ident) => { Wire::get($d)? };
+    (@get $d:ident $v:literal) => {
+        if $d.version >= $v { Wire::get($d)? } else { Default::default() }
+    };
+    ($($ty:ty { $($field:ident $(since $v:literal)?),+ $(,)? })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)+
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+                Ok(Self { $($field: wire_struct!(@get d $($v)?),)+ })
+            }
+        }
+    )+};
+}
+
+/// Declares an enum's layout once: a one-byte tag per variant, then the
+/// variant's fields in wire order; any other tag is `Corrupt($what)`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal { $($variant:ident = $tag:literal $({ $($field:ident),+ })?),+ $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        ($tag as u8).put(buf);
+                        $($($field.put(buf);)+)?
+                    })+
+                }
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ImageError> {
+                Ok(match u8::get(d)? {
+                    $($tag => $ty::$variant $({ $($field: Wire::get(d)?),+ })?,)+
+                    _ => return Err(ImageError::Corrupt($what)),
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(CellMode, "cell mode out of range" { Normal = 0, Reduced = 1 });
+wire_enum!(GcPolicy, "gc policy out of range" { Greedy = 0, WearAware = 1 });
+wire_enum!(JournalRecord, "unknown journal record tag" {
+    Write = 1 { lpn, block, page, mode },
+    Invalidate = 2 { lpn },
+    Map = 3 { lpn, block, page },
+    Erase = 4 { block },
+    Retire = 5 { block },
+    Commit = 6 { request },
+});
+
+/// Tenanted (open-loop serving) state is not checkpointable: the image
+/// stores only the tenant count, so a decoded tenant means a hand-edited
+/// image.
+impl Wire for TenantStats {
+    fn put(&self, _: &mut Vec<u8>) {}
+    fn get(_: &mut Dec<'_>) -> Result<Self, ImageError> {
+        Err(ImageError::Corrupt("tenanted stats in device image"))
+    }
+}
+
+wire_struct! {
+    DeviceImage {
+        config_fingerprint, trace_fingerprint, request_cursor, ftl, buffer,
+        buffer_next_seq, ages, age_rng, access_eval, fault_counters, disturb,
+        stats, host_pages_written, scrub_countdown, scrub_cursor,
+        channel_free_at, journal, torn, crashed_at, series since 2,
+    }
+    FtlImage {
+        blocks, pages_per_block, page_bytes, over_provisioning_pct,
+        gc_low_watermark, gc_policy, block_states, free, frontier,
+    }
+    BlockImage { mode, frontier, valid, erases, retired, slots }
+    TornPage { block, page }
+    AccessEvalSnapshot { read_counts, reads_since_aging, pool, pool_next_seq, stats }
+    AccessEvalStats { reads, reduced_hits, promotions, demotions }
+    SimStats {
+        host_reads, host_writes, buffer_read_hits, flash_reads, flash_programs,
+        erases, gc_runs, gc_migrated_pages, promotions, demotions,
+        reduced_reads, reads_by_sensing_level, total_response_us,
+        read_response_us, max_response_us, response_samples, responses_seen,
+        sample_state, makespan_us, retry_reads, recovered_reads,
+        uncorrectable_reads, retry_depth_histogram, program_failures,
+        retired_blocks, die_resets, scrub_runs, scrub_reads, scrub_refreshes,
+        recovery_latency_us, stage_sense, stage_transfer, stage_decode,
+        stage_program, stage_erase, tenants, journal_replayed,
+        torn_pages_discarded, checkpoint_age_requests,
+    }
+    StageAccount { ops, busy_us, wait_us }
+    SeriesState { interval_us, window, last, snapshots }
+    SeriesSnapshot { window, t_us, cumulative, delta, gauges }
 }
 
 impl DeviceImage {
     /// Serializes the image to its versioned binary form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.buf.extend_from_slice(IMAGE_MAGIC);
-        e.u16(IMAGE_VERSION);
-        e.u64(self.config_fingerprint);
-        e.u64(self.trace_fingerprint);
-        e.u64(self.request_cursor);
-        // FTL image.
-        let ftl = &self.ftl;
-        e.u32(ftl.blocks);
-        e.u32(ftl.pages_per_block);
-        e.u32(ftl.page_bytes);
-        e.u32(ftl.over_provisioning_pct);
-        e.u32(ftl.gc_low_watermark);
-        e.u8(match ftl.gc_policy {
-            GcPolicy::Greedy => 0,
-            GcPolicy::WearAware => 1,
-        });
-        e.len(ftl.block_states.len());
-        for b in &ftl.block_states {
-            e.u8(match b.mode {
-                CellMode::Normal => 0,
-                CellMode::Reduced => 1,
-            });
-            e.u32(b.frontier);
-            e.u32(b.valid);
-            e.u32(b.erases);
-            e.bool(b.retired);
-            e.len(b.slots.len());
-            for slot in &b.slots {
-                match slot {
-                    Some(lpn) => {
-                        e.u8(1);
-                        e.u64(*lpn);
-                    }
-                    None => e.u8(0),
-                }
-            }
-        }
-        e.len(ftl.free.len());
-        for &b in &ftl.free {
-            e.u32(b);
-        }
-        for f in &ftl.frontier {
-            match f {
-                Some(b) => {
-                    e.u8(1);
-                    e.u32(*b);
-                }
-                None => e.u8(0),
-            }
-        }
-        // Buffer.
-        e.len(self.buffer.len());
-        for &(seq, lpn) in &self.buffer {
-            e.u64(seq);
-            e.u64(lpn);
-        }
-        e.u64(self.buffer_next_seq);
-        // Reliability accumulators.
-        e.len(self.ages.len());
-        for &(lpn, age) in &self.ages {
-            e.u64(lpn);
-            e.f64(age);
-        }
-        for &s in &self.age_rng {
-            e.u64(s);
-        }
-        // AccessEval.
-        match &self.access_eval {
-            Some(snap) => {
-                e.u8(1);
-                e.len(snap.read_counts.len());
-                for &(lpn, count) in &snap.read_counts {
-                    e.u64(lpn);
-                    e.u32(count);
-                }
-                e.u64(snap.reads_since_aging);
-                e.len(snap.pool.len());
-                for &(seq, lpn) in &snap.pool {
-                    e.u64(seq);
-                    e.u64(lpn);
-                }
-                e.u64(snap.pool_next_seq);
-                e.u64(snap.stats.reads);
-                e.u64(snap.stats.reduced_hits);
-                e.u64(snap.stats.promotions);
-                e.u64(snap.stats.demotions);
-            }
-            None => e.u8(0),
-        }
-        // Fault counters.
-        match &self.fault_counters {
-            Some(counters) => {
-                e.u8(1);
-                e.len(counters.len());
-                for &(tag, lpn, count) in counters {
-                    e.u64(tag);
-                    e.u64(lpn);
-                    e.u64(count);
-                }
-            }
-            None => e.u8(0),
-        }
-        // Read-disturb counters.
-        match &self.disturb {
-            Some(disturb) => {
-                e.u8(1);
-                e.len(disturb.len());
-                for &(lpn, reads) in disturb {
-                    e.u64(lpn);
-                    e.u64(reads);
-                }
-            }
-            None => e.u8(0),
-        }
-        encode_stats(&mut e, &self.stats);
-        e.u64(self.host_pages_written);
-        e.u64(self.scrub_countdown);
-        e.u32(self.scrub_cursor);
-        e.len(self.channel_free_at.len());
-        for &t in &self.channel_free_at {
-            e.f64(t);
-        }
-        // Journal + crash markers.
-        e.len(self.journal.len());
-        for r in &self.journal {
-            encode_record(&mut e, r);
-        }
-        match &self.torn {
-            Some(t) => {
-                e.u8(1);
-                e.u32(t.block.0);
-                e.u32(t.page);
-            }
-            None => e.u8(0),
-        }
-        match self.crashed_at {
-            Some(at) => {
-                e.u8(1);
-                e.u64(at);
-            }
-            None => e.u8(0),
-        }
-        match &self.series {
-            Some(s) => {
-                e.u8(1);
-                e.u64(s.interval_us);
-                e.u64(s.window);
-                e.len(s.last.len());
-                for &v in &s.last {
-                    e.u64(v);
-                }
-                e.len(s.snapshots.len());
-                for snap in &s.snapshots {
-                    e.u64(snap.window);
-                    e.f64(snap.t_us);
-                    e.len(snap.cumulative.len());
-                    for &v in &snap.cumulative {
-                        e.u64(v);
-                    }
-                    e.len(snap.delta.len());
-                    for &v in &snap.delta {
-                        e.u64(v);
-                    }
-                    e.len(snap.gauges.len());
-                    for &v in &snap.gauges {
-                        e.f64(v);
-                    }
-                }
-            }
-            None => e.u8(0),
-        }
-        e.buf
+        let mut buf = Vec::with_capacity(4096);
+        buf.extend_from_slice(IMAGE_MAGIC);
+        IMAGE_VERSION.put(&mut buf);
+        self.put(&mut buf);
+        buf
     }
 
     /// Decodes an image, verifying magic, version and structure.
@@ -768,232 +558,23 @@ impl DeviceImage {
     ///
     /// Any [`ImageError`]; truncated or corrupted input never panics.
     pub fn from_bytes(data: &[u8]) -> Result<DeviceImage, ImageError> {
-        let mut d = Dec::new(data);
+        let mut d = Dec {
+            data,
+            pos: 0,
+            version: 0,
+        };
         if d.take(4)? != IMAGE_MAGIC {
             return Err(ImageError::BadMagic);
         }
-        let version = d.u16()?;
-        if version == 0 || version > IMAGE_VERSION {
-            return Err(ImageError::BadVersion(version));
+        d.version = u16::get(&mut d)?;
+        if d.version == 0 || d.version > IMAGE_VERSION {
+            return Err(ImageError::BadVersion(d.version));
         }
-        let config_fingerprint = d.u64()?;
-        let trace_fingerprint = d.u64()?;
-        let request_cursor = d.u64()?;
-        let blocks = d.u32()?;
-        let pages_per_block = d.u32()?;
-        let page_bytes = d.u32()?;
-        let over_provisioning_pct = d.u32()?;
-        let gc_low_watermark = d.u32()?;
-        let gc_policy = match d.u8()? {
-            0 => GcPolicy::Greedy,
-            1 => GcPolicy::WearAware,
-            _ => return Err(ImageError::Corrupt("gc policy out of range")),
-        };
-        let n = d.len()?;
-        let mut block_states = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mode = match d.u8()? {
-                0 => CellMode::Normal,
-                1 => CellMode::Reduced,
-                _ => return Err(ImageError::Corrupt("cell mode out of range")),
-            };
-            let frontier = d.u32()?;
-            let valid = d.u32()?;
-            let erases = d.u32()?;
-            let retired = d.bool()?;
-            let slots = d.len()?;
-            let slots = (0..slots)
-                .map(|_| {
-                    Ok(match d.u8()? {
-                        0 => None,
-                        1 => Some(d.u64()?),
-                        _ => return Err(ImageError::Corrupt("slot presence out of range")),
-                    })
-                })
-                .collect::<Result<Vec<_>, ImageError>>()?;
-            block_states.push(BlockImage {
-                mode,
-                frontier,
-                valid,
-                erases,
-                retired,
-                slots,
-            });
+        let image = DeviceImage::get(&mut d)?;
+        if d.pos != data.len() {
+            return Err(ImageError::Corrupt("trailing bytes"));
         }
-        let n = d.len()?;
-        let free = (0..n).map(|_| d.u32()).collect::<Result<Vec<_>, _>>()?;
-        let mut frontier = [None, None];
-        for f in &mut frontier {
-            *f = match d.u8()? {
-                0 => None,
-                1 => Some(d.u32()?),
-                _ => return Err(ImageError::Corrupt("frontier presence out of range")),
-            };
-        }
-        let ftl = FtlImage {
-            blocks,
-            pages_per_block,
-            page_bytes,
-            over_provisioning_pct,
-            gc_low_watermark,
-            gc_policy,
-            block_states,
-            free,
-            frontier,
-        };
-        let n = d.len()?;
-        let buffer = (0..n)
-            .map(|_| Ok((d.u64()?, d.u64()?)))
-            .collect::<Result<Vec<_>, ImageError>>()?;
-        let buffer_next_seq = d.u64()?;
-        let n = d.len()?;
-        let ages = (0..n)
-            .map(|_| Ok((d.u64()?, d.f64()?)))
-            .collect::<Result<Vec<_>, ImageError>>()?;
-        let mut age_rng = [0u64; 4];
-        for s in &mut age_rng {
-            *s = d.u64()?;
-        }
-        let access_eval = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.len()?;
-                let read_counts = (0..n)
-                    .map(|_| Ok((d.u64()?, d.u32()?)))
-                    .collect::<Result<Vec<_>, ImageError>>()?;
-                let reads_since_aging = d.u64()?;
-                let n = d.len()?;
-                let pool = (0..n)
-                    .map(|_| Ok((d.u64()?, d.u64()?)))
-                    .collect::<Result<Vec<_>, ImageError>>()?;
-                let pool_next_seq = d.u64()?;
-                let stats = flexlevel::AccessEvalStats {
-                    reads: d.u64()?,
-                    reduced_hits: d.u64()?,
-                    promotions: d.u64()?,
-                    demotions: d.u64()?,
-                };
-                Some(AccessEvalSnapshot {
-                    read_counts,
-                    reads_since_aging,
-                    pool,
-                    pool_next_seq,
-                    stats,
-                })
-            }
-            _ => return Err(ImageError::Corrupt("access-eval presence out of range")),
-        };
-        let fault_counters = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.len()?;
-                Some(
-                    (0..n)
-                        .map(|_| Ok((d.u64()?, d.u64()?, d.u64()?)))
-                        .collect::<Result<Vec<_>, ImageError>>()?,
-                )
-            }
-            _ => return Err(ImageError::Corrupt("fault-counter presence out of range")),
-        };
-        let disturb = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.len()?;
-                Some(
-                    (0..n)
-                        .map(|_| Ok((d.u64()?, d.u64()?)))
-                        .collect::<Result<Vec<_>, ImageError>>()?,
-                )
-            }
-            _ => return Err(ImageError::Corrupt("disturb presence out of range")),
-        };
-        let stats = decode_stats(&mut d)?;
-        let host_pages_written = d.u64()?;
-        let scrub_countdown = d.u64()?;
-        let scrub_cursor = d.u32()?;
-        let n = d.len()?;
-        let channel_free_at = (0..n).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
-        let n = d.len()?;
-        let journal = (0..n)
-            .map(|_| decode_record(&mut d))
-            .collect::<Result<Vec<_>, _>>()?;
-        let torn = match d.u8()? {
-            0 => None,
-            1 => Some(TornPage {
-                block: BlockId(d.u32()?),
-                page: d.u32()?,
-            }),
-            _ => return Err(ImageError::Corrupt("torn presence out of range")),
-        };
-        let crashed_at = match d.u8()? {
-            0 => None,
-            1 => Some(d.u64()?),
-            _ => return Err(ImageError::Corrupt("crash presence out of range")),
-        };
-        let series = if version < 2 {
-            None
-        } else {
-            match d.u8()? {
-                0 => None,
-                1 => {
-                    let interval_us = d.u64()?;
-                    let window = d.u64()?;
-                    let n = d.len()?;
-                    let last = (0..n).map(|_| d.u64()).collect::<Result<Vec<_>, _>>()?;
-                    let n = d.len()?;
-                    let snapshots = (0..n)
-                        .map(|_| {
-                            let window = d.u64()?;
-                            let t_us = d.f64()?;
-                            let n = d.len()?;
-                            let cumulative =
-                                (0..n).map(|_| d.u64()).collect::<Result<Vec<_>, _>>()?;
-                            let n = d.len()?;
-                            let delta = (0..n).map(|_| d.u64()).collect::<Result<Vec<_>, _>>()?;
-                            let n = d.len()?;
-                            let gauges = (0..n).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
-                            Ok(obs::SeriesSnapshot {
-                                window,
-                                t_us,
-                                cumulative,
-                                delta,
-                                gauges,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ImageError>>()?;
-                    Some(obs::SeriesState {
-                        interval_us,
-                        window,
-                        last,
-                        snapshots,
-                    })
-                }
-                _ => return Err(ImageError::Corrupt("series presence out of range")),
-            }
-        };
-        d.done()?;
-        Ok(DeviceImage {
-            config_fingerprint,
-            trace_fingerprint,
-            request_cursor,
-            ftl,
-            buffer,
-            buffer_next_seq,
-            ages,
-            age_rng,
-            access_eval,
-            fault_counters,
-            disturb,
-            stats,
-            host_pages_written,
-            scrub_countdown,
-            scrub_cursor,
-            channel_free_at,
-            journal,
-            torn,
-            crashed_at,
-            series,
-        })
+        Ok(image)
     }
 
     /// Checks the image against the trace about to drive the resume; a
@@ -1151,6 +732,153 @@ mod image_tests {
             assert_eq!(back, image);
             assert_eq!(back.to_bytes(), bytes, "re-encoding must be stable");
         }
+    }
+
+    /// A clean checkpoint and the crash image of the same run, for one
+    /// scheme under one scenario preset, optionally sampling a series.
+    fn checkpoint_and_crash(
+        scheme: Scheme,
+        preset: &str,
+        series: bool,
+    ) -> (DeviceImage, DeviceImage) {
+        let trace = WorkloadSpec::fin2()
+            .with_requests(3_000)
+            .with_footprint(1_500)
+            .generate(&mut StdRng::seed_from_u64(0xF1E2));
+        let config = crate::ScenarioSpec::find(preset)
+            .expect("known preset")
+            .apply(SsdConfig::scaled(scheme, 64).with_seed(7));
+        let mut sim = SsdSimulator::new(config);
+        if series {
+            sim = sim.with_observer(crate::SimObserver::new(scheme, 100).with_series(2_000));
+        }
+        sim.run_prefix(&trace, 1_200).expect("prefix runs");
+        let mut base = sim.checkpoint().expect("checkpoint");
+        base.trace_fingerprint = trace_fingerprint(&trace);
+        sim.set_crash_plan(Some(crate::CrashPlan::at_request(0x5EED, 2_400)));
+        sim.resume(&trace).expect_err("armed crash plan fires");
+        let crash = sim.crash_image(&base).expect("crash image");
+        (base, crash)
+    }
+
+    /// The round-trip tests pass for any self-consistent layout; this
+    /// pins the bytes themselves (FNV-1a of the encoding), so a silent
+    /// format change fails here.
+    #[test]
+    fn wire_format_is_pinned() {
+        let mut images = Vec::new();
+        for (scheme, preset, series) in [
+            (Scheme::Baseline, "baseline", false),
+            (Scheme::FlexLevel, "baseline", false),
+            (Scheme::LdpcInSsd, "hostile", false),
+            (Scheme::FlexLevel, "hostile", true),
+        ] {
+            let (base, crash) = checkpoint_and_crash(scheme, preset, series);
+            images.extend([base, crash]);
+        }
+        let last = images.last().expect("images");
+        assert!(last.access_eval.is_some() && last.series.is_some());
+        assert!(last.fault_counters.is_some() && last.disturb.is_some());
+        assert!(!last.journal.is_empty() && last.crashed_at.is_some());
+        // What these short runs never reach: a torn page, a retired
+        // block, the wear-aware policy and every journal record kind.
+        let mut rare = last.clone();
+        rare.torn = Some(TornPage {
+            block: BlockId(3),
+            page: 9,
+        });
+        rare.ftl.block_states[0].retired = true;
+        rare.ftl.gc_policy = GcPolicy::WearAware;
+        rare.journal.extend([
+            JournalRecord::Write {
+                lpn: 1,
+                block: BlockId(2),
+                page: 3,
+                mode: CellMode::Reduced,
+            },
+            JournalRecord::Invalidate { lpn: 4 },
+            JournalRecord::Map {
+                lpn: 5,
+                block: BlockId(6),
+                page: 7,
+            },
+            JournalRecord::Erase { block: BlockId(8) },
+            JournalRecord::Retire { block: BlockId(9) },
+            JournalRecord::Commit { request: 10 },
+        ]);
+        images.push(rare);
+        let digests: Vec<u64> = images
+            .iter()
+            .map(|image| {
+                let mut h = Fnv::new();
+                h.bytes(&image.to_bytes());
+                h.0
+            })
+            .collect();
+        // Checkpoint then crash image per case, then `rare`. A digest
+        // changes only with a format version bump (TESTING.md, tier 4).
+        assert_eq!(
+            digests,
+            [
+                0xdebd_4800_1bdc_c4f0,
+                0x6311_3ec3_d115_2d60,
+                0xbdba_9450_2a76_6571,
+                0x41ad_8c0b_6ce6_dda3,
+                0x7da1_8cd5_b60a_65c2,
+                0x10e4_e9be_b93a_5c9b,
+                0x421b_69c4_b647_7982,
+                0xc444_b29d_444b_1103,
+                0x5774_c688_a7ad_099b,
+            ],
+            "device-image bytes moved"
+        );
+    }
+
+    #[test]
+    fn version_one_images_still_decode() {
+        // Version 1 predates the series field: same layout minus the
+        // final presence byte.
+        let (_, crash) = checkpoint_and_crash(Scheme::FlexLevel, "baseline", false);
+        let mut bytes = crash.to_bytes();
+        assert_eq!(
+            bytes.pop(),
+            Some(0),
+            "series-less image ends in its presence byte"
+        );
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(DeviceImage::from_bytes(&bytes), Ok(crash));
+    }
+
+    #[test]
+    fn restore_rejects_misshapen_statistics() {
+        let (config, _, image) = checkpointed(Scheme::Baseline);
+        assert!(SsdSimulator::restore(config.clone(), &image).is_ok());
+        let edits: [fn(&mut SimStats); 3] = [
+            |s| s.reads_by_sensing_level.clear(),
+            |s| s.retry_depth_histogram.truncate(1),
+            |s| s.response_samples.push(f64::NAN),
+        ];
+        for edit in edits {
+            // A hand-edited image decodes fine; resuming it would index
+            // past the histograms or sort a NaN, so restore refuses it.
+            let mut edited = image.clone();
+            edit(&mut edited.stats);
+            let edited = DeviceImage::from_bytes(&edited.to_bytes()).expect("still decodes");
+            assert!(matches!(
+                SsdSimulator::restore(config.clone(), &edited),
+                Err(ImageError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn tenanted_stats_are_rejected() {
+        let (_, _, mut image) = checkpointed(Scheme::Baseline);
+        image.stats.tenants.push(crate::TenantStats::default());
+        assert_eq!(
+            DeviceImage::from_bytes(&image.to_bytes()),
+            Err(ImageError::Corrupt("tenanted stats in device image"))
+        );
     }
 
     #[test]

@@ -653,6 +653,18 @@ impl SsdSimulator {
         if image.channel_free_at.len() != sim.channel_free_at.len() {
             return Err(ImageError::Corrupt("channel count mismatch"));
         }
+        // Serving and reporting index the histograms by sensing level and
+        // retry depth and sort the reservoir: hold the image's statistics
+        // to the shapes `SimStats::new` gives this config's schedule.
+        let (stats, fresh) = (&image.stats, &sim.stats);
+        if stats.reads_by_sensing_level.len() != fresh.reads_by_sensing_level.len()
+            || stats.retry_depth_histogram.len() != fresh.retry_depth_histogram.len()
+        {
+            return Err(ImageError::Corrupt("statistics histogram length mismatch"));
+        }
+        if !stats.response_samples.iter().all(|s| s.is_finite()) {
+            return Err(ImageError::Corrupt("non-finite response sample"));
+        }
         sim.stats = image.stats.clone();
         sim.host_pages_written = image.host_pages_written;
         sim.scrub_countdown = image.scrub_countdown;

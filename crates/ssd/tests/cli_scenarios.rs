@@ -43,6 +43,17 @@ fn unknown_scenario_is_a_parse_error_listing_valid_names() {
 }
 
 #[test]
+fn zero_blocks_is_a_usage_error() {
+    let out = sim().args(["--blocks", "0"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("--blocks"),
+        "stderr names the flag:\n{stderr}"
+    );
+}
+
+#[test]
 fn simulation_failure_exits_one() {
     // A footprint far beyond the 64-block device's capacity fails every
     // scheme's run — a *simulation* failure, not a parse failure.
