@@ -20,11 +20,13 @@
 pub mod export;
 pub mod hist;
 pub mod registry;
+pub mod sample;
 pub mod span;
 pub mod timeseries;
 
 pub use hist::Histogram;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricMeta, Registry};
+pub use sample::{reservoir_offer, splitmix64};
 pub use span::{EventKind, ReadSpan, SpanBuffer, SpanOutcome, StageTiming, TraceEvent};
 pub use timeseries::{
     critical_path, PathComponents, SchemeAttribution, SeriesBlock, SeriesSampler, SeriesSnapshot,

@@ -5,10 +5,12 @@
 //! went, how many retry rungs the recovery ladder climbed, and how it
 //! ended ([`SpanOutcome`]). Spans are collected into a [`SpanBuffer`]
 //! which optionally down-samples with seeded reservoir sampling
-//! (Algorithm R over a SplitMix64 stream, the same sampler family used
-//! by `SimStats::record_response`), so trace volume is bounded and the
-//! kept subset is a pure function of the span stream — never of wall
-//! clock or thread scheduling.
+//! ([`reservoir_offer`], the sampler `SimStats::record_response` also
+//! uses), so trace volume is bounded and the kept subset is a pure
+//! function of the span stream — never of wall clock or thread
+//! scheduling.
+
+use crate::sample::reservoir_offer;
 
 /// Fixed seed for reservoir sampling; sampling decisions depend only on
 /// the span sequence, keeping trace output reproducible run-to-run.
@@ -136,17 +138,6 @@ pub struct ReadSpan {
     pub outcome: SpanOutcome,
 }
 
-/// SplitMix64 step — the same generator `SimStats` uses for its
-/// response-time reservoir.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A span collector with optional seeded reservoir sampling.
 ///
 /// With `capacity == 0` every offered span is kept. Otherwise the buffer
@@ -193,16 +184,13 @@ impl SpanBuffer {
     /// Offers a span to the buffer.
     pub fn push(&mut self, span: ReadSpan) {
         self.offered += 1;
-        if self.capacity == 0 || self.spans.len() < self.capacity {
-            self.spans.push(span);
-            return;
-        }
-        // Algorithm R: the n-th offered span replaces a random slot with
-        // probability capacity/n.
-        let slot = (splitmix64(&mut self.rng) % self.offered) as usize;
-        if slot < self.capacity {
-            self.spans[slot] = span;
-        }
+        reservoir_offer(
+            &mut self.spans,
+            self.capacity,
+            self.offered,
+            &mut self.rng,
+            span,
+        );
     }
 
     /// Offers an instant event to the buffer. Events use the same
@@ -210,14 +198,13 @@ impl SpanBuffer {
     /// adding event producers never changes which spans are kept.
     pub fn push_event(&mut self, event: TraceEvent) {
         self.events_offered += 1;
-        if self.capacity == 0 || self.events.len() < self.capacity {
-            self.events.push(event);
-            return;
-        }
-        let slot = (splitmix64(&mut self.events_rng) % self.events_offered) as usize;
-        if slot < self.capacity {
-            self.events[slot] = event;
-        }
+        reservoir_offer(
+            &mut self.events,
+            self.capacity,
+            self.events_offered,
+            &mut self.events_rng,
+            event,
+        );
     }
 
     /// Spans currently held, in reservoir order (exporters sort).

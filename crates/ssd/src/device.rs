@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use flash_model::{CellTech, Hours, LevelConfig, Micros};
+use flash_model::{CellMode, CellTech, Hours, LevelConfig, Micros};
 use flexlevel::NunmaScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,13 +112,22 @@ impl ReliabilityState {
         self.ages.insert(lpn, Hours(u.min(v) * max));
     }
 
-    /// Raw BER of a normal page at `pe_cycles` wear whose data is `age`
-    /// old (cached on a quantised grid).
-    pub fn normal_ber(&mut self, pe_cycles: u32, age: Hours) -> f64 {
+    /// Raw BER of a `mode` page at `pe_cycles` wear whose data is `age`
+    /// old (cached on a quantised grid). Reduced pages use the NUNMA
+    /// level configuration and its code density.
+    pub fn ber(&mut self, mode: CellMode, pe_cycles: u32, age: Hours) -> f64 {
         let pe_bucket = pe_cycles / PE_BUCKET;
         let age_bucket = ((age.as_f64() / self.max_age.as_f64().max(1e-9)) * AGE_BUCKETS as f64)
             .min(AGE_BUCKETS as f64) as u32;
-        if let Some(&ber) = self.ber_cache.get(&(pe_bucket, age_bucket)) {
+        let (config, bits, cache) = match mode {
+            CellMode::Normal => (&self.normal_config, self.normal_bits, &mut self.ber_cache),
+            CellMode::Reduced => (
+                &self.reduced_config,
+                self.reduced_bits,
+                &mut self.reduced_cache,
+            ),
+        };
+        if let Some(&ber) = cache.get(&(pe_bucket, age_bucket)) {
             return ber;
         }
         // Evaluate at the bucket centre.
@@ -130,45 +139,21 @@ impl ReliabilityState {
         // program time and is compensated by read-reference calibration,
         // so the read path's sensing need keys on retention loss.
         let ber = analytic::estimate(
-            &self.normal_config,
+            config,
             &self.program,
             None,
             Some((&self.retention, pe, age_center)),
-            self.normal_bits,
+            bits,
         )
         .ber;
-        self.ber_cache.insert((pe_bucket, age_bucket), ber);
-        ber
-    }
-
-    /// Raw BER of a reduced (NUNMA) page under the same stress (cached on
-    /// the same quantised grid as [`normal_ber`](Self::normal_ber)).
-    pub fn reduced_ber(&mut self, pe_cycles: u32, age: Hours) -> f64 {
-        let pe_bucket = pe_cycles / PE_BUCKET;
-        let age_bucket = ((age.as_f64() / self.max_age.as_f64().max(1e-9)) * AGE_BUCKETS as f64)
-            .min(AGE_BUCKETS as f64) as u32;
-        if let Some(&ber) = self.reduced_cache.get(&(pe_bucket, age_bucket)) {
-            return ber;
-        }
-        let pe = pe_bucket * PE_BUCKET + PE_BUCKET / 2;
-        let age_center =
-            Hours((age_bucket as f64 + 0.5) / AGE_BUCKETS as f64 * self.max_age.as_f64());
-        let ber = analytic::estimate(
-            &self.reduced_config,
-            &self.program,
-            None,
-            Some((&self.retention, pe, age_center)),
-            self.reduced_bits,
-        )
-        .ber;
-        self.reduced_cache.insert((pe_bucket, age_bucket), ber);
+        cache.insert((pe_bucket, age_bucket), ber);
         ber
     }
 
     /// Worst-case BER the device must provision for at `pe_cycles`: data
     /// aged to the retention ceiling.
     pub fn worst_case_ber(&mut self, pe_cycles: u32) -> f64 {
-        self.normal_ber(pe_cycles, self.max_age)
+        self.ber(CellMode::Normal, pe_cycles, self.max_age)
     }
 
     /// Marks `lpn` as just rewritten *in place* by a patrol-scrub
@@ -432,10 +417,10 @@ mod tests {
     #[test]
     fn ber_grows_with_wear_and_age() {
         let mut s = state();
-        let young = s.normal_ber(4000, Hours::days(1.0));
-        let old = s.normal_ber(4000, Hours::months(1.0));
+        let young = s.ber(CellMode::Normal, 4000, Hours::days(1.0));
+        let old = s.ber(CellMode::Normal, 4000, Hours::months(1.0));
         assert!(old > young);
-        let worn = s.normal_ber(6000, Hours::days(1.0));
+        let worn = s.ber(CellMode::Normal, 6000, Hours::days(1.0));
         assert!(worn > young);
     }
 
@@ -444,7 +429,7 @@ mod tests {
         // The whole point of NUNMA 3: even at 6000 P/E and a month of
         // retention, reduced pages need no extra sensing levels.
         let mut s = state();
-        let ber = s.reduced_ber(6000, Hours::months(1.0));
+        let ber = s.ber(CellMode::Reduced, 6000, Hours::months(1.0));
         assert!(
             ber < 4e-3,
             "NUNMA3 BER {ber} must stay below the 4e-3 trigger"
@@ -454,7 +439,7 @@ mod tests {
     #[test]
     fn baseline_needs_sensing_at_high_stress() {
         let mut s = state();
-        let ber = s.normal_ber(6000, Hours::months(1.0));
+        let ber = s.ber(CellMode::Normal, 6000, Hours::months(1.0));
         assert!(
             ber > 4e-3,
             "worn baseline BER {ber} must exceed the trigger"
@@ -466,7 +451,7 @@ mod tests {
         let mut s = state();
         for pe in [4000u32, 4100, 6000] {
             for d in 1..20 {
-                let _ = s.normal_ber(pe, Hours::days(d as f64));
+                let _ = s.ber(CellMode::Normal, pe, Hours::days(d as f64));
             }
         }
         // 3 PE values → ≤ 2 distinct PE buckets... plus ≤ 32 age buckets.
@@ -478,7 +463,7 @@ mod tests {
     fn worst_case_dominates() {
         let mut s = state();
         let worst = s.worst_case_ber(5000);
-        let typical = s.normal_ber(5000, Hours::days(2.0));
+        let typical = s.ber(CellMode::Normal, 5000, Hours::days(2.0));
         assert!(worst >= typical);
     }
 
@@ -518,12 +503,12 @@ mod tests {
             for days in [1.0, 7.0, 30.0] {
                 let age = Hours::days(days);
                 assert_eq!(
-                    legacy.normal_ber(pe, age).to_bits(),
-                    mlc.normal_ber(pe, age).to_bits()
+                    legacy.ber(CellMode::Normal, pe, age).to_bits(),
+                    mlc.ber(CellMode::Normal, pe, age).to_bits()
                 );
                 assert_eq!(
-                    legacy.reduced_ber(pe, age).to_bits(),
-                    mlc.reduced_ber(pe, age).to_bits()
+                    legacy.ber(CellMode::Reduced, pe, age).to_bits(),
+                    mlc.ber(CellMode::Reduced, pe, age).to_bits()
                 );
             }
         }
@@ -542,14 +527,14 @@ mod tests {
             ReliabilityState::with_cell(CellTech::Tlc, NunmaScheme::Nunma3, Hours::months(1.0), 1);
         let age = Hours::days(7.0);
         let (s, m, t) = (
-            slc.normal_ber(5000, age),
-            mlc.normal_ber(5000, age),
-            tlc.normal_ber(5000, age),
+            slc.ber(CellMode::Normal, 5000, age),
+            mlc.ber(CellMode::Normal, 5000, age),
+            tlc.ber(CellMode::Normal, 5000, age),
         );
         assert!(s < m && m < t, "SLC {s} < MLC {m} < TLC {t}");
         // TLC's reduced (7-level) mode buys back margin like the paper's
         // LevelAdjust does for MLC.
-        assert!(tlc.reduced_ber(5000, age) < t);
+        assert!(tlc.ber(CellMode::Reduced, 5000, age) < t);
     }
 
     #[test]
@@ -586,7 +571,7 @@ mod tests {
     fn derived_schedule_zero_for_fresh_data() {
         let schedule = derived_schedule();
         let mut s = state();
-        let fresh = s.normal_ber(3000, Hours(0.01));
+        let fresh = s.ber(CellMode::Normal, 3000, Hours(0.01));
         assert_eq!(schedule.required_levels(fresh), 0);
     }
 

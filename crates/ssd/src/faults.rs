@@ -29,6 +29,7 @@
 use std::collections::HashMap;
 
 use ldpc::SensingSchedule;
+use obs::splitmix64;
 use reliability::EccConfig;
 use serde::{Deserialize, Serialize};
 
@@ -158,17 +159,6 @@ impl StreamKind {
             StreamKind::Program => 0x3F,
         }
     }
-}
-
-/// One step of the SplitMix64 generator (shared with the scenario
-/// engine's placement draws, so every scenario stream reuses the same
-/// counter-derived keying discipline).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A uniform draw in `[0, 1)` from the `(seed, kind, lpn, counter)` cell

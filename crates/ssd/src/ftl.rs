@@ -88,41 +88,12 @@ impl std::fmt::Display for FtlError {
 
 impl std::error::Error for FtlError {}
 
-/// Per-block bookkeeping.
-#[derive(Debug, Clone)]
-struct BlockState {
-    mode: CellMode,
-    /// Next unwritten page slot (`0..usable_pages`).
-    frontier: u32,
-    valid: u32,
-    erases: u32,
-    /// Grown-bad: the block failed a program status check and was
-    /// permanently removed from service (never allocated, never a GC
-    /// victim).
-    retired: bool,
-    /// Reverse map: which LPN each written page slot holds (`None` once
-    /// invalidated).
-    slots: Vec<Option<u64>>,
-}
-
-impl BlockState {
-    fn new(pages_per_block: u32) -> BlockState {
-        BlockState {
-            mode: CellMode::Normal,
-            frontier: 0,
-            valid: 0,
-            erases: 0,
-            retired: false,
-            slots: vec![None; pages_per_block as usize],
-        }
-    }
-
-    fn usable_pages(&self, pages_per_block: u32) -> u32 {
-        match self.mode {
-            CellMode::Normal => pages_per_block,
-            // ReduceCode stores 3 bits per 2 cells: 75% of the page slots.
-            CellMode::Reduced => pages_per_block * 3 / 4,
-        }
+/// Page slots of a block in `mode`: ReduceCode stores 3 bits per 2
+/// cells, so a reduced block holds 75 % of the slots.
+fn usable_pages(mode: CellMode, pages_per_block: u32) -> u32 {
+    match mode {
+        CellMode::Normal => pages_per_block,
+        CellMode::Reduced => pages_per_block * 3 / 4,
     }
 }
 
@@ -208,28 +179,32 @@ pub struct RecoveryReport {
     pub torn_pages_discarded: u64,
 }
 
-/// Snapshot of one block's persistent state within an [`FtlImage`].
+/// One block's state: the live FTL's block table and an [`FtlImage`]
+/// hold the same record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockImage {
     /// Cell mode.
     pub mode: CellMode,
-    /// Next unwritten page slot.
+    /// Next unwritten page slot (`0..usable_pages`).
     pub frontier: u32,
     /// Valid (live) pages.
     pub valid: u32,
     /// Lifetime erase count.
     pub erases: u32,
-    /// Grown-bad flag.
+    /// Grown-bad: the block failed a program status check and was
+    /// permanently removed from service (never allocated, never a GC
+    /// victim).
     pub retired: bool,
-    /// Reverse map of written slots (`None` once invalidated).
+    /// Reverse map: which LPN each written page slot holds (`None` once
+    /// invalidated).
     pub slots: Vec<Option<u64>>,
 }
 
 /// Durable snapshot of the FTL: geometry parameters, per-block state,
 /// free-pool order and write frontiers. The logical→physical mapping is
 /// *not* stored — [`PageMapFtl::from_image`] rebuilds it from the
-/// per-block reverse maps, which doubles as an integrity check (an LPN
-/// appearing in two slots is corruption, not a valid state).
+/// per-block reverse maps and then audits the result (an LPN appearing
+/// in two slots is corruption, not a valid state).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtlImage {
     /// Physical block count (geometry).
@@ -285,7 +260,7 @@ impl Fnv {
 #[derive(Debug, Clone)]
 pub struct PageMapFtl {
     geometry: DeviceGeometry,
-    blocks: Vec<BlockState>,
+    blocks: Vec<BlockImage>,
     mapping: Vec<Option<PhysicalPage>>,
     free: VecDeque<BlockId>,
     frontier: [Option<BlockId>; 2],
@@ -315,9 +290,15 @@ impl PageMapFtl {
     /// `gc_low_watermark` (min 2: one per mode frontier must always be
     /// obtainable).
     pub fn new(geometry: DeviceGeometry, gc_low_watermark: u32) -> PageMapFtl {
-        let blocks = (0..geometry.blocks())
-            .map(|_| BlockState::new(geometry.pages_per_block()))
-            .collect();
+        let blank = BlockImage {
+            mode: CellMode::Normal,
+            frontier: 0,
+            valid: 0,
+            erases: 0,
+            retired: false,
+            slots: vec![None; geometry.pages_per_block() as usize],
+        };
+        let blocks = vec![blank; geometry.blocks() as usize];
         PageMapFtl {
             geometry,
             blocks,
@@ -422,46 +403,26 @@ impl PageMapFtl {
             return Ok(cost);
         }
         // Remove the block from every allocation source *before*
-        // relocating, so its pages cannot land back inside it.
-        for f in &mut self.frontier {
-            if *f == Some(block) {
-                *f = None;
-            }
-        }
-        self.free.retain(|&b| b != block);
-        self.blocks[idx].retired = true;
+        // relocating, so its pages cannot land back inside it. The
+        // `Retire` record is journaled only once the block is empty.
+        self.apply_retire(block);
         let mode = self.blocks[idx].mode;
-        let live = self.block_lpns(block);
-        for lpn in live {
+        for lpn in self.block_lpns(block) {
             cost.flash_reads += 1;
             let old = self.mapping[lpn as usize];
             self.invalidate(lpn);
-            match self.allocate(mode, &mut cost) {
-                Ok(phys) => {
-                    self.commit(lpn, phys);
-                    cost.programs += 1;
+            if let Err(e) = self.program_next(lpn, mode, &mut cost) {
+                // Out of space mid-retirement. The copy in this block
+                // never left the array, so re-expose it rather than
+                // lose an acknowledged write, and keep the block in
+                // service: a partly-evacuated bad block beats a
+                // corrupted frontier or a panic.
+                if let Some(phys) = old {
+                    self.apply_map(lpn, phys);
                 }
-                Err(e) => {
-                    // Out of space mid-retirement. The copy in this block
-                    // never left the array, so re-expose it rather than
-                    // lose an acknowledged write, and keep the block in
-                    // service: a partly-evacuated bad block beats a
-                    // corrupted frontier or a panic.
-                    if let Some(phys) = old {
-                        let state = &mut self.blocks[phys.block.0 as usize];
-                        state.slots[phys.page as usize] = Some(lpn);
-                        state.valid += 1;
-                        self.mapping[lpn as usize] = Some(phys);
-                        self.journal_push(JournalRecord::Map {
-                            lpn,
-                            block: phys.block,
-                            page: phys.page,
-                        });
-                    }
-                    self.blocks[idx].retired = false;
-                    self.debug_full_check("failed retirement rollback");
-                    return Err(e);
-                }
+                self.blocks[idx].retired = false;
+                self.debug_full_check("failed retirement rollback");
+                return Err(e);
             }
         }
         debug_assert_eq!(self.blocks[idx].valid, 0, "all live pages were relocated");
@@ -484,9 +445,7 @@ impl PageMapFtl {
         }
         let mut cost = OpCost::default();
         self.invalidate(lpn);
-        let phys = self.allocate(mode, &mut cost)?;
-        self.commit(lpn, phys);
-        cost.programs += 1;
+        self.program_next(lpn, mode, &mut cost)?;
         // Keep the free pool above the watermark for the next allocation.
         cost.add(self.collect_if_needed()?);
         self.debug_tick(lpn);
@@ -507,12 +466,27 @@ impl PageMapFtl {
         }
     }
 
-    fn commit(&mut self, lpn: u64, phys: PhysicalPage) {
+    // One applier per journal record kind. The live paths and
+    // `recover` call the same function for a record, so replay matches
+    // the live FTL by construction; `invalidate` is the `Invalidate`
+    // applier. Replay runs with the journal off, so the pushes below
+    // record only live mutations.
+
+    /// `Write`: `lpn` lands on `phys`, the next slot of its block.
+    /// Programming a block's first page takes it out of the free pool,
+    /// switched to `mode` (legal: the block is erased); the block is
+    /// then `mode`'s write frontier.
+    fn apply_program(&mut self, lpn: u64, phys: PhysicalPage, mode: CellMode) {
         let block = &mut self.blocks[phys.block.0 as usize];
-        block.slots[phys.page as usize] = Some(lpn);
-        block.valid += 1;
-        let mode = block.mode;
-        self.mapping[lpn as usize] = Some(phys);
+        if block.frontier == 0 {
+            block.mode = mode;
+            if let Some(at) = self.free.iter().position(|&b| b == phys.block) {
+                self.free.remove(at);
+            }
+        }
+        block.frontier += 1;
+        self.link(lpn, phys);
+        self.frontier[mode_index(mode)] = Some(phys.block);
         self.journal_push(JournalRecord::Write {
             lpn,
             block: phys.block,
@@ -521,39 +495,91 @@ impl PageMapFtl {
         });
     }
 
-    /// Allocates the next page slot of the `mode` frontier, opening a new
-    /// free block (switched to `mode`) when the frontier fills.
-    fn allocate(&mut self, mode: CellMode, cost: &mut OpCost) -> Result<PhysicalPage, FtlError> {
-        let idx = mode_index(mode);
-        loop {
-            if let Some(block_id) = self.frontier[idx] {
-                let ppb = self.geometry.pages_per_block();
-                let block = &mut self.blocks[block_id.0 as usize];
-                if block.frontier < block.usable_pages(ppb) {
-                    let page = block.frontier;
-                    block.frontier += 1;
-                    return Ok(PhysicalPage::new(block_id, page));
-                }
-                self.frontier[idx] = None; // frontier exhausted
+    /// `Map`: re-exposes the surviving copy of `lpn` at `phys` without a
+    /// program (the failed-retirement rollback).
+    fn apply_map(&mut self, lpn: u64, phys: PhysicalPage) {
+        self.link(lpn, phys);
+        self.journal_push(JournalRecord::Map {
+            lpn,
+            block: phys.block,
+            page: phys.page,
+        });
+    }
+
+    /// Points `lpn` and the slot at `phys` at each other.
+    fn link(&mut self, lpn: u64, phys: PhysicalPage) {
+        let block = &mut self.blocks[phys.block.0 as usize];
+        block.slots[phys.page as usize] = Some(lpn);
+        block.valid += 1;
+        self.mapping[lpn as usize] = Some(phys);
+    }
+
+    /// `Erase`: the emptied `block` reverts to an erased normal-mode
+    /// block at the back of the free pool.
+    fn apply_erase(&mut self, block: BlockId) {
+        let state = &mut self.blocks[block.0 as usize];
+        state.slots.iter_mut().for_each(|s| *s = None);
+        state.frontier = 0;
+        state.erases += 1;
+        state.mode = CellMode::Normal;
+        self.drop_frontier(block);
+        self.free.push_back(block);
+        self.journal_push(JournalRecord::Erase { block });
+    }
+
+    /// `Retire`: `block` leaves service — out of the free pool and off
+    /// every write frontier. Journaling is left to
+    /// [`retire_block`](Self::retire_block), which appends the record
+    /// only after the block's pages are relocated.
+    fn apply_retire(&mut self, block: BlockId) {
+        self.drop_frontier(block);
+        self.free.retain(|&b| b != block);
+        self.blocks[block.0 as usize].retired = true;
+    }
+
+    fn drop_frontier(&mut self, block: BlockId) {
+        for f in &mut self.frontier {
+            if *f == Some(block) {
+                *f = None;
             }
-            let block_id = match self.free.pop_front() {
-                Some(b) => b,
-                None if !self.gc_active => {
-                    // Emergency reclaim: the caller's GC watermark keeps
-                    // this rare, but frontier turnover can exhaust frees.
-                    self.collect_once(cost)?;
-                    self.free.pop_front().ok_or(FtlError::OutOfSpace)?
-                }
-                // Mid-GC allocations must come from the free pool: the
-                // watermark guarantees headroom, and re-entering GC here
-                // could recurse without bound on an overfilled device.
-                None => return Err(FtlError::OutOfSpace),
-            };
-            let block = &mut self.blocks[block_id.0 as usize];
-            block.mode = mode; // legal: the block is erased
-            block.frontier = 0;
-            self.frontier[idx] = Some(block_id);
         }
+    }
+
+    /// Programs `lpn` into the next page slot of the `mode` frontier,
+    /// opening the free pool's front block when the frontier is full.
+    fn program_next(
+        &mut self,
+        lpn: u64,
+        mode: CellMode,
+        cost: &mut OpCost,
+    ) -> Result<(), FtlError> {
+        let idx = mode_index(mode);
+        let usable = usable_pages(mode, self.geometry.pages_per_block());
+        let next =
+            self.frontier[idx].map(|b| PhysicalPage::new(b, self.blocks[b.0 as usize].frontier));
+        let phys = match next {
+            Some(phys) if phys.page < usable => phys,
+            _ => {
+                self.frontier[idx] = None; // frontier exhausted
+                let block = match self.free.front() {
+                    Some(&b) => b,
+                    None if !self.gc_active => {
+                        // Emergency reclaim: the caller's GC watermark keeps
+                        // this rare, but frontier turnover can exhaust frees.
+                        self.collect_once(cost)?;
+                        *self.free.front().ok_or(FtlError::OutOfSpace)?
+                    }
+                    // Mid-GC allocations must come from the free pool: the
+                    // watermark guarantees headroom, and re-entering GC here
+                    // could recurse without bound on an overfilled device.
+                    None => return Err(FtlError::OutOfSpace),
+                };
+                PhysicalPage::new(block, 0)
+            }
+        };
+        self.apply_program(lpn, phys, mode);
+        cost.programs += 1;
+        Ok(())
     }
 
     /// Runs GC until the free pool is above the watermark, or until no
@@ -586,31 +612,20 @@ impl PageMapFtl {
         cost.gc_runs += 1;
         let victim_mode = self.blocks[victim.0 as usize].mode;
         // Snapshot live pages; relocation programs invalidate them.
-        let live: Vec<(u32, u64)> = self.blocks[victim.0 as usize]
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, lpn)| lpn.map(|l| (slot as u32, l)))
-            .collect();
-        for (_, lpn) in &live {
+        for lpn in self.block_lpns(victim) {
             cost.flash_reads += 1;
             cost.gc_moved += 1;
             // Relocate within the same mode so pool/placement decisions
             // made by the policy layer survive GC.
-            self.invalidate(*lpn);
-            let phys = self.allocate(victim_mode, cost)?;
-            self.commit(*lpn, phys);
-            cost.programs += 1;
+            self.invalidate(lpn);
+            self.program_next(lpn, victim_mode, cost)?;
         }
-        let block = &mut self.blocks[victim.0 as usize];
-        debug_assert_eq!(block.valid, 0, "all live pages were relocated");
-        block.slots.iter_mut().for_each(|s| *s = None);
-        block.frontier = 0;
-        block.erases += 1;
-        block.mode = CellMode::Normal; // erased blocks revert to normal
+        debug_assert_eq!(
+            self.blocks[victim.0 as usize].valid, 0,
+            "all live pages were relocated"
+        );
+        self.apply_erase(victim);
         cost.erases += 1;
-        self.free.push_back(victim);
-        self.journal_push(JournalRecord::Erase { block: victim });
         self.debug_full_check("gc relocation");
         Ok(())
     }
@@ -750,8 +765,9 @@ impl PageMapFtl {
     ///   matching mode that are not simultaneously free.
     ///
     /// Debug builds run this after GC and retirement and periodically
-    /// during writes; [`recover`](Self::recover) runs it unconditionally
-    /// on the rebuilt state.
+    /// during writes; [`from_image`](Self::from_image) and
+    /// [`recover`](Self::recover) run it unconditionally on the state
+    /// they rebuild.
     pub fn check_invariants(&self) -> Result<(), String> {
         let ppb = self.geometry.pages_per_block();
         if self.blocks.len() != self.geometry.blocks() as usize {
@@ -775,11 +791,11 @@ impl PageMapFtl {
                     block.slots.len()
                 ));
             }
-            if block.frontier > block.usable_pages(ppb) {
+            if block.frontier > usable_pages(block.mode, ppb) {
                 return Err(format!(
                     "block {i}: frontier {} beyond {} usable pages",
                     block.frontier,
-                    block.usable_pages(ppb)
+                    usable_pages(block.mode, ppb)
                 ));
             }
             let mut valid = 0u32;
@@ -942,33 +958,27 @@ impl PageMapFtl {
             over_provisioning_pct: self.geometry.over_provisioning_pct(),
             gc_low_watermark: self.gc_low_watermark,
             gc_policy: self.gc_policy,
-            block_states: self
-                .blocks
-                .iter()
-                .map(|b| BlockImage {
-                    mode: b.mode,
-                    frontier: b.frontier,
-                    valid: b.valid,
-                    erases: b.erases,
-                    retired: b.retired,
-                    slots: b.slots.clone(),
-                })
-                .collect(),
+            block_states: self.blocks.clone(),
             free: self.free.iter().map(|b| b.0).collect(),
             frontier: [self.frontier[0].map(|b| b.0), self.frontier[1].map(|b| b.0)],
         }
     }
 
-    /// Rebuilds an FTL from a checkpoint image, reconstructing the
-    /// forward mapping from the per-block reverse maps and validating
-    /// the image as it goes (an untrusted image fails with a typed
-    /// error, never a panic).
+    /// Rebuilds an FTL from a checkpoint image: reconstructs the
+    /// forward mapping from the per-block reverse maps, then audits the
+    /// result with [`check_invariants`](Self::check_invariants) — the
+    /// same definition of a valid FTL that crash recovery and the live
+    /// debug sweeps use. An untrusted image fails with a typed error,
+    /// never a panic.
     ///
     /// # Errors
     ///
-    /// [`ImageError::Corrupt`] on any internal inconsistency: bad
-    /// geometry, wrong vector lengths, out-of-range references,
-    /// duplicate LPNs, or valid counts that do not reconcile.
+    /// [`ImageError::Corrupt`] on an invalid device geometry or block
+    /// tables whose shape disagrees with it;
+    /// [`ImageError::Invariant`] naming the first invariant the image
+    /// violates (out-of-range references, an LPN in two slots,
+    /// unreconciled valid counts, a written or retired block in the free
+    /// pool, a misplaced write frontier).
     pub fn from_image(image: &FtlImage) -> Result<PageMapFtl, ImageError> {
         let geometry = DeviceGeometry::new(
             image.blocks,
@@ -977,82 +987,42 @@ impl PageMapFtl {
             image.over_provisioning_pct,
         )
         .map_err(|_| ImageError::Corrupt("invalid device geometry"))?;
-        if image.block_states.len() != image.blocks as usize {
+        // The geometry fields are free-standing header values; the block
+        // tables are decoded bytes. Holding the geometry to the tables'
+        // shape bounds the map allocated below by the image's own size.
+        if image.block_states.len() != geometry.blocks() as usize {
             return Err(ImageError::Corrupt("block state count mismatch"));
         }
-        let ppb = geometry.pages_per_block();
-        let logical = geometry.logical_pages();
-        let mut blocks = Vec::with_capacity(image.block_states.len());
-        for b in &image.block_states {
-            if b.slots.len() != ppb as usize {
-                return Err(ImageError::Corrupt("reverse map length mismatch"));
-            }
-            blocks.push(BlockState {
-                mode: b.mode,
-                frontier: b.frontier,
-                valid: b.valid,
-                erases: b.erases,
-                retired: b.retired,
-                slots: b.slots.clone(),
-            });
+        if image
+            .block_states
+            .iter()
+            .any(|block| block.slots.len() != geometry.pages_per_block() as usize)
+        {
+            return Err(ImageError::Corrupt("reverse map length mismatch"));
         }
-        let mut mapping: Vec<Option<PhysicalPage>> = vec![None; logical as usize];
-        for (i, block) in blocks.iter().enumerate() {
-            if block.frontier > block.usable_pages(ppb) {
-                return Err(ImageError::Corrupt("frontier beyond usable pages"));
-            }
-            let mut valid = 0u32;
-            for (page, slot) in block.slots.iter().enumerate() {
-                let Some(lpn) = *slot else { continue };
-                if lpn >= logical {
-                    return Err(ImageError::Corrupt("slot lpn out of range"));
+        // Out-of-range slots are skipped here and reported by the audit.
+        let mut mapping = vec![None; geometry.logical_pages() as usize];
+        for (b, block) in image.block_states.iter().enumerate() {
+            for (page, lpn) in block.slots.iter().enumerate() {
+                if let Some(entry) = lpn.and_then(|lpn| mapping.get_mut(lpn as usize)) {
+                    *entry = Some(PhysicalPage::new(BlockId(b as u32), page as u32));
                 }
-                if page as u32 >= block.frontier {
-                    return Err(ImageError::Corrupt("slot data beyond frontier"));
-                }
-                if mapping[lpn as usize].is_some() {
-                    return Err(ImageError::Corrupt("lpn mapped by two slots"));
-                }
-                mapping[lpn as usize] = Some(PhysicalPage::new(BlockId(i as u32), page as u32));
-                valid += 1;
-            }
-            if valid != block.valid {
-                return Err(ImageError::Corrupt("valid count mismatch"));
             }
         }
-        let mut free = VecDeque::with_capacity(image.free.len());
-        let mut in_free = vec![false; blocks.len()];
-        for &b in &image.free {
-            let Some(seen) = in_free.get_mut(b as usize) else {
-                return Err(ImageError::Corrupt("free entry out of range"));
-            };
-            if *seen {
-                return Err(ImageError::Corrupt("duplicate free entry"));
-            }
-            *seen = true;
-            free.push_back(BlockId(b));
-        }
-        let mut frontier = [None, None];
-        for (slot, entry) in frontier.iter_mut().zip(image.frontier) {
-            if let Some(b) = entry {
-                if b >= image.blocks {
-                    return Err(ImageError::Corrupt("frontier entry out of range"));
-                }
-                *slot = Some(BlockId(b));
-            }
-        }
-        Ok(PageMapFtl {
+        let ftl = PageMapFtl {
             geometry,
-            blocks,
+            blocks: image.block_states.clone(),
             mapping,
-            free,
-            frontier,
+            free: image.free.iter().map(|&b| BlockId(b)).collect(),
+            frontier: image.frontier.map(|f| f.map(BlockId)),
             gc_low_watermark: image.gc_low_watermark.max(4),
             gc_policy: image.gc_policy,
             gc_active: false,
             journal: None,
             ops_since_check: 0,
-        })
+        };
+        ftl.check_invariants().map_err(ImageError::Invariant)?;
+        Ok(ftl)
     }
 
     /// Sudden-power-off recovery: rebuilds the FTL from a checkpoint
@@ -1068,9 +1038,10 @@ impl PageMapFtl {
     ///
     /// # Errors
     ///
-    /// [`ImageError::Corrupt`] if the image or journal is internally
-    /// inconsistent, [`ImageError::Invariant`] if the rebuilt state
-    /// fails the invariant sweep.
+    /// As [`from_image`](Self::from_image) for the checkpoint image;
+    /// [`ImageError::Corrupt`] if a journal record does not apply to
+    /// the state before it; [`ImageError::Invariant`] if the rebuilt
+    /// state fails the invariant sweep.
     pub fn recover(
         image: &FtlImage,
         journal: &[JournalRecord],
@@ -1094,26 +1065,17 @@ impl PageMapFtl {
                     if ftl.mapping[lpn as usize].is_some() {
                         return Err(ImageError::Corrupt("journal write over a live mapping"));
                     }
-                    // A fresh block leaves the free pool the moment its
-                    // first page programs.
-                    ftl.free.retain(|&b| b != block);
-                    let state = &mut ftl.blocks[bidx];
+                    let state = &ftl.blocks[bidx];
                     if state.retired {
                         return Err(ImageError::Corrupt("journal write into a retired block"));
                     }
-                    if state.frontier == 0 {
-                        state.mode = mode;
-                    } else if state.mode != mode {
+                    if state.frontier != 0 && state.mode != mode {
                         return Err(ImageError::Corrupt("journal write mode mismatch"));
                     }
-                    if page != state.frontier || page >= state.usable_pages(ppb) {
+                    if page != state.frontier || page >= usable_pages(mode, ppb) {
                         return Err(ImageError::Corrupt("journal write off the frontier"));
                     }
-                    state.slots[page as usize] = Some(lpn);
-                    state.valid += 1;
-                    state.frontier += 1;
-                    ftl.mapping[lpn as usize] = Some(PhysicalPage::new(block, page));
-                    ftl.frontier[mode_index(mode)] = Some(block);
+                    ftl.apply_program(lpn, PhysicalPage::new(block, page), mode);
                 }
                 JournalRecord::Invalidate { lpn } => ftl.invalidate(lpn),
                 JournalRecord::Map { lpn, block, page } => {
@@ -1129,9 +1091,7 @@ impl PageMapFtl {
                     {
                         return Err(ImageError::Corrupt("journal map over live data"));
                     }
-                    ftl.blocks[bidx].slots[page as usize] = Some(lpn);
-                    ftl.blocks[bidx].valid += 1;
-                    ftl.mapping[lpn as usize] = Some(PhysicalPage::new(block, page));
+                    ftl.apply_map(lpn, PhysicalPage::new(block, page));
                 }
                 JournalRecord::Erase { block } => {
                     let bidx = block.0 as usize;
@@ -1141,33 +1101,16 @@ impl PageMapFtl {
                     if ftl.free.contains(&block) {
                         return Err(ImageError::Corrupt("journal erase of a free block"));
                     }
-                    let state = &mut ftl.blocks[bidx];
-                    if state.valid != 0 {
+                    if ftl.blocks[bidx].valid != 0 {
                         return Err(ImageError::Corrupt("journal erase of a live block"));
                     }
-                    state.slots.iter_mut().for_each(|s| *s = None);
-                    state.frontier = 0;
-                    state.erases += 1;
-                    state.mode = CellMode::Normal;
-                    for f in &mut ftl.frontier {
-                        if *f == Some(block) {
-                            *f = None;
-                        }
-                    }
-                    ftl.free.push_back(block);
+                    ftl.apply_erase(block);
                 }
                 JournalRecord::Retire { block } => {
-                    let bidx = block.0 as usize;
-                    if bidx >= ftl.blocks.len() {
+                    if block.0 as usize >= ftl.blocks.len() {
                         return Err(ImageError::Corrupt("journal retire out of range"));
                     }
-                    ftl.blocks[bidx].retired = true;
-                    ftl.free.retain(|&b| b != block);
-                    for f in &mut ftl.frontier {
-                        if *f == Some(block) {
-                            *f = None;
-                        }
-                    }
+                    ftl.apply_retire(block);
                 }
                 JournalRecord::Commit { .. } => {}
             }
@@ -1180,7 +1123,7 @@ impl PageMapFtl {
                     let state = &ftl.blocks[bidx];
                     !state.retired
                         && torn.page == state.frontier
-                        && torn.page < state.usable_pages(ppb)
+                        && torn.page < usable_pages(state.mode, ppb)
                 };
                 if plausible {
                     // The interrupted program reached the array but its

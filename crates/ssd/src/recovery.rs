@@ -705,6 +705,7 @@ mod tests {
 mod image_tests {
     use super::*;
     use crate::config::{Scheme, SsdConfig};
+    use crate::ftl::PageMapFtl;
     use crate::sim::SsdSimulator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -872,6 +873,79 @@ mod image_tests {
     }
 
     #[test]
+    fn restore_rejects_an_out_of_range_scrub_cursor() {
+        let (config, _, mut image) = checkpointed(Scheme::Baseline);
+        image.scrub_cursor = 64;
+        assert!(matches!(
+            SsdSimulator::restore(config, &image),
+            Err(ImageError::Corrupt("scrub cursor out of range"))
+        ));
+    }
+
+    #[test]
+    fn restore_audits_the_ftl_image() {
+        // Each edit breaks one free-pool/frontier invariant while every
+        // reference stays in range, so only the invariant audit sees it.
+        let (config, _, image) = checkpointed(Scheme::Baseline);
+        let ftl = &image.ftl;
+        let written = (0..ftl.blocks)
+            .find(|&b| ftl.block_states[b as usize].frontier > 0 && !ftl.free.contains(&b))
+            .expect("the prefix wrote a block");
+        let mut listed = image.clone();
+        listed.ftl.free.push(written);
+        let mut misplaced = image.clone();
+        misplaced.ftl.frontier[0] = Some(ftl.free[0]);
+        for (edited, expected) in [
+            (listed, format!("free block {written} is not erased")),
+            (
+                misplaced,
+                format!("frontier 0 points at free block {}", ftl.free[0]),
+            ),
+        ] {
+            let errors = [
+                PageMapFtl::from_image(&edited.ftl).err(),
+                SsdSimulator::restore(config.clone(), &edited).err(),
+            ];
+            for error in errors {
+                match error {
+                    Some(ImageError::Invariant(what)) => {
+                        assert!(what.starts_with(&expected), "{what}")
+                    }
+                    other => panic!("expected an invariant error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forged_geometry_is_rejected_before_allocating() {
+        // The geometry header is not tied to the decoded block tables; a
+        // forged one must fail typed instead of sizing the logical map.
+        let (config, _, image) = checkpointed(Scheme::Baseline);
+        let edits: [fn(&mut FtlImage); 3] = [
+            |f| f.pages_per_block = u32::MAX,
+            |f| f.blocks = u32::MAX,
+            |f| (f.blocks, f.pages_per_block) = (u32::MAX, u32::MAX),
+        ];
+        for edit in edits {
+            let mut edited = image.clone();
+            edit(&mut edited.ftl);
+            assert!(matches!(
+                PageMapFtl::from_image(&edited.ftl),
+                Err(ImageError::Corrupt(_))
+            ));
+            assert!(matches!(
+                PageMapFtl::recover(&edited.ftl, &[], None),
+                Err(ImageError::Corrupt(_))
+            ));
+            assert!(matches!(
+                SsdSimulator::restore(config.clone(), &edited),
+                Err(ImageError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
     fn tenanted_stats_are_rejected() {
         let (_, _, mut image) = checkpointed(Scheme::Baseline);
         image.stats.tenants.push(crate::TenantStats::default());
@@ -929,7 +1003,7 @@ mod image_tests {
         let mut state = 0x5EED_CAFE_u64;
         for _ in 0..256 {
             let mut mutated = bytes.clone();
-            let r = crate::faults::splitmix64(&mut state);
+            let r = obs::splitmix64(&mut state);
             let index = (r as usize) % mutated.len();
             mutated[index] ^= (1 << ((r >> 48) % 8)) as u8;
             // Either a typed error or a (different or identical) image —

@@ -38,7 +38,8 @@ use flash_model::CellTech;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SsdConfig;
-use crate::faults::{splitmix64, FaultConfig};
+use crate::faults::FaultConfig;
+use obs::splitmix64;
 
 /// Spatially correlated error clusters (SEU/radiation style).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

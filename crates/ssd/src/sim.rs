@@ -614,8 +614,10 @@ impl SsdSimulator {
     /// # Errors
     ///
     /// [`ImageError::ConfigMismatch`] on a fingerprint mismatch;
-    /// [`ImageError::Corrupt`] if any component snapshot fails
-    /// validation against the rebuilt simulator.
+    /// [`ImageError::Invariant`] if the FTL image fails
+    /// [`PageMapFtl::check_invariants`]; [`ImageError::Corrupt`] if any
+    /// other component snapshot fails validation against the rebuilt
+    /// simulator.
     pub fn restore(config: SsdConfig, image: &DeviceImage) -> Result<SsdSimulator, ImageError> {
         let expected = config_fingerprint(&config);
         if image.config_fingerprint != expected {
@@ -652,6 +654,9 @@ impl SsdSimulator {
         }
         if image.channel_free_at.len() != sim.channel_free_at.len() {
             return Err(ImageError::Corrupt("channel count mismatch"));
+        }
+        if image.scrub_cursor >= sim.ftl.geometry().blocks() {
+            return Err(ImageError::Corrupt("scrub cursor out of range"));
         }
         // Serving and reporting index the histograms by sensing level and
         // retry depth and sort the reservoir: hold the image's statistics
@@ -981,7 +986,7 @@ impl SsdSimulator {
             // NUNMA 3 keeps reduced pages below the sensing trigger, but
             // weaker schemes (a NUNMA 1 deployment, or extreme stress) may
             // still need soft sensing — charge it honestly.
-            let ber = self.reliability.reduced_ber(pe, age);
+            let ber = self.reliability.ber(CellMode::Reduced, pe, age);
             let ber = self.environment_read(lpn, ber);
             let required = self.config.schedule.required_levels(ber);
             if let Some(ctrl) = self.access_eval.as_mut() {
@@ -990,63 +995,32 @@ impl SsdSimulator {
                 let _ = ctrl.on_read(lpn, required, self.config.schedule.max_extra_levels());
             }
             let cycle = self.config.latency.timing.reduce_code_cycle;
-            let (latency, levels, decode, iterations) = if required == 0 {
-                (
-                    self.config.latency.reduced_read_latency(),
-                    0,
-                    self.config.latency.decode_latency(1) + cycle,
-                    1,
-                )
+            let plan = if required == 0 {
+                ReadPlan {
+                    fg: self.config.latency.reduced_read_latency(),
+                    levels: 0,
+                    decode: self.config.latency.decode_latency(1) + cycle,
+                    iterations: 1,
+                }
             } else {
                 let plan = self.read_plan(required, ber);
-                (
-                    plan.fg + cycle,
-                    plan.levels,
-                    plan.decode + cycle,
-                    plan.iterations,
-                )
+                ReadPlan {
+                    fg: plan.fg + cycle,
+                    decode: plan.decode + cycle,
+                    ..plan
+                }
             };
-            charge.fg = latency;
-            if let Some(o) = self.obs.as_mut() {
-                let t = &self.config.latency.timing;
-                o.span_stage("sense", t.sense_latency(levels));
-                o.span_stage("transfer", t.transfer_latency(levels));
-                o.span_stage("decode", decode);
-                o.flash_read(levels, iterations);
-            }
-            if self.pipelined() {
-                ops.fg.push(FlashOp::Read {
-                    lpn,
-                    extra_levels: levels,
-                    decode,
-                });
-            }
-            self.apply_read_faults(lpn, ber, levels, &mut charge, ops);
+            self.sensed_read(lpn, ber, plan, &mut charge, ops);
             return Ok(charge);
         }
 
-        let ber = self.reliability.normal_ber(pe, age);
+        let ber = self.reliability.ber(CellMode::Normal, pe, age);
         let ber = self.environment_read(lpn, ber);
         let required = self.config.schedule.required_levels(ber);
         let plan = self.read_plan(required, ber);
-        charge.fg = plan.fg;
-        if let Some(o) = self.obs.as_mut() {
-            let t = &self.config.latency.timing;
-            o.span_stage("sense", t.sense_latency(plan.levels));
-            o.span_stage("transfer", t.transfer_latency(plan.levels));
-            o.span_stage("decode", plan.decode);
-            o.flash_read(plan.levels, plan.iterations);
-        }
-        if self.pipelined() {
-            ops.fg.push(FlashOp::Read {
-                lpn,
-                extra_levels: plan.levels,
-                decode: plan.decode,
-            });
-        }
         let slot = required.min(self.config.schedule.max_extra_levels()) as usize;
         self.stats.reads_by_sensing_level[slot] += 1;
-        self.apply_read_faults(lpn, ber, plan.levels, &mut charge, ops);
+        self.sensed_read(lpn, ber, plan, &mut charge, ops);
 
         // AccessEval: evaluate the read and apply any migrations as
         // background work.
@@ -1063,6 +1037,35 @@ impl SsdSimulator {
             self.stats.demotions = s.demotions;
         }
         Ok(charge)
+    }
+
+    /// The tail every sensed (non-buffered) read shares: charges
+    /// `plan.fg`, records the observer's sense/transfer/decode spans,
+    /// queues the pipelined `FlashOp::Read` and applies read faults.
+    fn sensed_read(
+        &mut self,
+        lpn: u64,
+        ber: f64,
+        plan: ReadPlan,
+        charge: &mut PageCharge,
+        ops: &mut OpChains,
+    ) {
+        charge.fg = plan.fg;
+        if let Some(o) = self.obs.as_mut() {
+            let t = &self.config.latency.timing;
+            o.span_stage("sense", t.sense_latency(plan.levels));
+            o.span_stage("transfer", t.transfer_latency(plan.levels));
+            o.span_stage("decode", plan.decode);
+            o.flash_read(plan.levels, plan.iterations);
+        }
+        if self.pipelined() {
+            ops.fg.push(FlashOp::Read {
+                lpn,
+                extra_levels: plan.levels,
+                decode: plan.decode,
+            });
+        }
+        self.apply_read_faults(lpn, ber, plan.levels, charge, ops);
     }
 
     /// Expected decoder iterations for a read sensed with `levels` extra
@@ -1309,10 +1312,7 @@ impl SsdSimulator {
             };
             let pe = self.effective_pe(lpn);
             let age = self.reliability.age(lpn);
-            let ber = match mode {
-                CellMode::Normal => self.reliability.normal_ber(pe, age),
-                CellMode::Reduced => self.reliability.reduced_ber(pe, age),
-            };
+            let ber = self.reliability.ber(mode, pe, age);
             // The scrubber observes the page as the environment left it —
             // disturb-elevated BER is exactly what it exists to catch.
             let ber = self.environment_read(lpn, ber);

@@ -144,30 +144,6 @@ const MAX_SAMPLES: usize = 1 << 17;
 /// Fixed seed of the reservoir's replacement stream.
 const SAMPLE_SEED: u64 = 0x5EED_5A3B_1E5E_4701;
 
-/// One step of the SplitMix64 generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Offers one value to an Algorithm-R reservoir. `responses_seen` must
-/// already count this value; `state` is the SplitMix64 replacement stream.
-/// Shared by the run-wide and per-tenant reservoirs so both sample with
-/// exactly the same (deterministic) law.
-fn reservoir_offer(samples: &mut Vec<f64>, responses_seen: u64, state: &mut u64, value: f64) {
-    if samples.len() < MAX_SAMPLES {
-        samples.push(value);
-    } else {
-        let slot = splitmix64(state) % responses_seen;
-        if (slot as usize) < MAX_SAMPLES {
-            samples[slot as usize] = value;
-        }
-    }
-}
-
 /// Percentile (`q` in `[0, 1]`) of a retained sample, or zero if empty.
 ///
 /// # Panics
@@ -243,8 +219,9 @@ impl TenantStats {
             self.slo_violations += 1;
         }
         self.responses_seen += 1;
-        reservoir_offer(
+        obs::reservoir_offer(
             &mut self.response_samples,
+            MAX_SAMPLES,
             self.responses_seen,
             &mut self.sample_state,
             us,
@@ -324,8 +301,9 @@ impl SimStats {
         }
         self.max_response_us = self.max_response_us.max(response.as_f64());
         self.responses_seen += 1;
-        reservoir_offer(
+        obs::reservoir_offer(
             &mut self.response_samples,
+            MAX_SAMPLES,
             self.responses_seen,
             &mut self.sample_state,
             response.as_f64(),

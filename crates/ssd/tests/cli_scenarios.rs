@@ -119,3 +119,52 @@ fn fault_presets_surface_recovery_panel() {
         "fault panel printed:\n{stdout}"
     );
 }
+
+/// Checkpoints a small `--faults` run, applies `forge` to the image on
+/// disk, and returns the exit code and stderr of restoring it.
+fn restore_forged(name: &str, forge: impl FnOnce(&mut ssd::DeviceImage)) -> (Option<i32>, String) {
+    let path =
+        std::env::temp_dir().join(format!("flexlevel_cli_{name}_{}.bin", std::process::id()));
+    let run = ["--blocks", "64", "--requests", "2000", "--faults"];
+    let out = sim()
+        .args(run)
+        .arg("--checkpoint-out")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "checkpoint run succeeds");
+    let mut image = ssd::DeviceImage::load(&path).expect("checkpoint loads");
+    forge(&mut image);
+    image.save(&path).expect("forged image saves");
+    let out = sim()
+        .args(run)
+        .arg("--restore")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn restore_rejects_a_forged_scrub_cursor() {
+    // Accepted as-is, the cursor indexes past the block table on the
+    // first patrol-scrub visit: a panic, exit 101.
+    let (code, stderr) = restore_forged("cursor", |image| image.scrub_cursor = 1_000_000);
+    assert_eq!(code, Some(1), "typed image error:\n{stderr}");
+    assert!(stderr.contains("scrub cursor out of range"), "{stderr}");
+}
+
+#[test]
+fn restore_rejects_a_written_block_in_the_free_pool() {
+    let (code, stderr) = restore_forged("free", |image| {
+        let ftl = &mut image.ftl;
+        let written = (0..ftl.blocks)
+            .find(|&b| ftl.block_states[b as usize].frontier > 0 && !ftl.free.contains(&b))
+            .expect("the prefix wrote a block");
+        ftl.free.push(written);
+    });
+    assert_eq!(code, Some(1), "typed image error:\n{stderr}");
+    assert!(stderr.contains("is not erased"), "{stderr}");
+}
