@@ -72,6 +72,6 @@ pub use quantized::{
     Q_MAX,
 };
 pub use sensing::{
-    decode_success_rate, measure_fer, measure_fer_farm, measure_fer_observed, measure_fer_until,
-    minimum_levels, FerMeasurement, FerStats, SensingSchedule, FER_BATCH,
+    decode_success_rate, measure_fer, measure_fer_farm, measure_fer_until, minimum_levels,
+    FerMeasurement, FerStats, SensingSchedule, FER_BATCH,
 };

@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use obs::Histogram;
 use reliability::mc::{self, McOptions};
 use serde::{Deserialize, Serialize};
 
@@ -127,64 +126,28 @@ pub fn measure_fer(
     seed: u64,
     options: &McOptions,
 ) -> FerStats {
-    measure_fer_observed(code, decoder, channel, quantizer, trials, seed, options).0
-}
-
-/// [`measure_fer`] plus a per-frame decoder-iteration [`Histogram`].
-///
-/// Each shard records its frames' iteration counts into its own
-/// histogram; shard histograms are merged in shard order, so — like the
-/// scalar statistics — the distribution is bit-identical for every
-/// thread count. The RNG stream is untouched by the extra recording,
-/// which is why [`measure_fer`] can delegate here without changing its
-/// published numbers.
-pub fn measure_fer_observed(
-    code: &QcLdpcCode,
-    decoder: &QuantizedMinSumDecoder,
-    channel: &MlcReadChannel,
-    quantizer: &LlrQuantizer,
-    trials: u64,
-    seed: u64,
-    options: &McOptions,
-) -> (FerStats, Histogram) {
     assert!(trials > 0, "need at least one trial");
     let graph = DecoderGraph::cached(code);
     let table = channel.quantized_llr_table(quantizer);
     let shards = mc::run_trials(trials, seed, options, |_, shard_trials, rng| {
-        let mut histogram = Histogram::new();
-        let (errors, iterations) = fer_shard(
-            code,
-            &graph,
-            decoder,
-            channel,
-            &table,
-            shard_trials,
-            rng,
-            Some(&mut histogram),
-        );
-        (errors, iterations, histogram)
+        fer_shard(code, &graph, decoder, channel, &table, shard_trials, rng)
     });
     let mut stats = FerStats {
         trials,
         frame_errors: 0,
         total_iterations: 0,
     };
-    let mut histogram = Histogram::new();
-    for (errors, iterations, shard_histogram) in shards {
+    for (errors, iterations) in shards {
         stats.frame_errors += errors;
         stats.total_iterations += iterations;
-        histogram.merge(&shard_histogram);
     }
-    (stats, histogram)
+    stats
 }
 
 /// One MC shard of [`measure_fer`]: decode `shard_trials` frames in
 /// fixed-order [`FER_BATCH`]-lane groups, returning `(frame_errors,
-/// total_iterations)`. The optional histogram records per-frame iteration
-/// counts without touching the RNG stream, which is what lets
-/// [`measure_fer`], [`measure_fer_observed`] and [`measure_fer_until`]
-/// share one frame sequence.
-#[allow(clippy::too_many_arguments)] // private plumbing shared by three entry points
+/// total_iterations)`. [`measure_fer`] and [`measure_fer_until`] share
+/// it, and so one frame sequence.
 fn fer_shard<R: rand::Rng + ?Sized>(
     code: &QcLdpcCode,
     graph: &DecoderGraph,
@@ -193,7 +156,6 @@ fn fer_shard<R: rand::Rng + ?Sized>(
     table: &[i8],
     shard_trials: u64,
     rng: &mut R,
-    mut histogram: Option<&mut Histogram>,
 ) -> (u64, u64) {
     let n = code.codeword_bits();
     let mut ws = DecoderWorkspace::new();
@@ -216,9 +178,6 @@ fn fer_shard<R: rand::Rng + ?Sized>(
         let out = decoder.decode_batch(graph, &qllrs[..n * lanes], lanes, &mut ws);
         for lane in 0..lanes {
             iterations += u64::from(out.iterations(lane));
-            if let Some(h) = histogram.as_deref_mut() {
-                h.record(f64::from(out.iterations(lane)));
-            }
             let ok = out.success(lane)
                 && (0..n).all(|bit| out.hard_bit(lane, bit) == sent[bit * lanes + lane]);
             if !ok {
@@ -266,16 +225,8 @@ pub fn measure_fer_until(
         seed,
         options,
         |_, shard_trials, rng| {
-            let (errors, iterations) = fer_shard(
-                code,
-                &graph,
-                decoder,
-                channel,
-                &table,
-                shard_trials,
-                rng,
-                None,
-            );
+            let (errors, iterations) =
+                fer_shard(code, &graph, decoder, channel, &table, shard_trials, rng);
             (shard_trials, errors, iterations)
         },
         |done| done.iter().map(|shard| shard.1).sum::<u64>() >= target_errors,

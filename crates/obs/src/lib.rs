@@ -26,7 +26,7 @@ pub mod timeseries;
 
 pub use hist::Histogram;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricMeta, Registry};
-pub use sample::{reservoir_offer, splitmix64};
+pub use sample::{reservoir_offer, splitmix64, SAMPLE_SEED};
 pub use span::{EventKind, ReadSpan, SpanBuffer, SpanOutcome, StageTiming, TraceEvent};
 pub use timeseries::{
     critical_path, PathComponents, SchemeAttribution, SeriesBlock, SeriesSampler, SeriesSnapshot,

@@ -1,7 +1,13 @@
 //! Seeded sampling shared by every reservoir in the workspace: the
-//! SplitMix64 generator and the Algorithm-R offer. The simulator's
-//! response-time reservoirs and the [`SpanBuffer`](crate::SpanBuffer)
-//! span and event reservoirs all sample through these two functions.
+//! reservoir seed, the SplitMix64 generator and the Algorithm-R offer.
+//! The simulator's response-time reservoirs and the
+//! [`SpanBuffer`](crate::SpanBuffer) span and event reservoirs all sample
+//! through these two functions.
+
+/// Fixed seed of every response and span reservoir's replacement
+/// stream: sampling decisions depend only on the order values are
+/// offered, keeping sampled output reproducible run to run.
+pub const SAMPLE_SEED: u64 = 0x5EED_5A3B_1E5E_4701;
 
 /// One step of the SplitMix64 generator.
 #[inline]

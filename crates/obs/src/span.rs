@@ -10,11 +10,7 @@
 //! function of the span stream — never of wall clock or thread
 //! scheduling.
 
-use crate::sample::reservoir_offer;
-
-/// Fixed seed for reservoir sampling; sampling decisions depend only on
-/// the span sequence, keeping trace output reproducible run-to-run.
-pub const SAMPLE_SEED: u64 = 0x5EED_5A3B_1E5E_4701;
+use crate::sample::{reservoir_offer, SAMPLE_SEED};
 
 /// Seed for the instant-event reservoir — a stream independent from the
 /// span reservoir so event sampling never perturbs span sampling.

@@ -252,36 +252,6 @@ where
     results
 }
 
-/// Runs `total_trials` trials of `per_trial` and collects every returned
-/// value into one log-linear [`Histogram`](obs::Histogram).
-///
-/// Each shard records into its own histogram; shard histograms are
-/// merged in ascending shard order after all workers join, so the result
-/// is bit-identical for every thread count — the same contract as
-/// [`run_trials`], extended to full distributions.
-pub fn run_value_histogram<F>(
-    total_trials: u64,
-    base_seed: u64,
-    options: &McOptions,
-    per_trial: F,
-) -> obs::Histogram
-where
-    F: Fn(u32, &mut StdRng) -> f64 + Sync,
-{
-    let shards = run_trials(total_trials, base_seed, options, |index, trials, rng| {
-        let mut histogram = obs::Histogram::new();
-        for _ in 0..trials {
-            histogram.record(per_trial(index, rng));
-        }
-        histogram
-    });
-    let mut merged = obs::Histogram::new();
-    for shard in &shards {
-        merged.merge(shard);
-    }
-    merged
-}
-
 /// Applies `f` to every item of `items` on the thread pool and returns
 /// the outputs in input order. The per-item work must be deterministic
 /// for the map to be; the engine only guarantees ordering and isolation.
@@ -404,20 +374,6 @@ mod tests {
         let indices = run_trials(50_000, 3, &opts(4), |i, _, _| i);
         let expected: Vec<u32> = (0..indices.len() as u32).collect();
         assert_eq!(indices, expected);
-    }
-
-    #[test]
-    fn value_histogram_identical_across_thread_counts() {
-        let run = |threads: u32| {
-            run_value_histogram(20_000, 11, &opts(threads), |_, rng| {
-                rng.gen_range(0.0..500.0)
-            })
-        };
-        let serial = run(1);
-        assert_eq!(serial.count(), 20_000);
-        for threads in [2u32, 8] {
-            assert_eq!(serial, run(threads), "threads {threads}");
-        }
     }
 
     #[test]

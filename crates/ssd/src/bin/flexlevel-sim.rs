@@ -658,11 +658,6 @@ fn run_serve(
     }
 }
 
-/// Appends one row to a comparison table.
-fn push_row(rows: &mut Vec<(String, Vec<String>)>, title: &str, cells: Vec<String>) {
-    rows.push((title.to_string(), cells));
-}
-
 /// Renders a `(metric, per-scheme cell)` table with aligned columns.
 fn render_table(header: &[&str], rows: &[(String, Vec<String>)]) -> String {
     let metric_width = rows
@@ -698,162 +693,93 @@ fn render_table(header: &[&str], rows: &[(String, Vec<String>)]) -> String {
     out
 }
 
+/// Where one comparison-table cell comes from in the registry.
+#[derive(Clone, Copy)]
+enum Cell {
+    /// A counter family.
+    Counter(&'static str),
+    /// A gauge family, printed with this many decimals.
+    Gauge(&'static str, usize),
+    /// A quantile of a histogram family.
+    Quantile(&'static str, f64),
+}
+
+/// The comparison-table rows every `--all-schemes` run prints.
+#[rustfmt::skip]
+const ROWS: [(&str, Cell); 18] = [
+    ("mean response (us)",      Cell::Gauge("flexlevel_mean_response_us", 1)),
+    ("mean read response (us)", Cell::Gauge("flexlevel_mean_read_response_us", 1)),
+    ("p50 response (us)",       Cell::Quantile("flexlevel_response_us", 0.50)),
+    ("p99 response (us)",       Cell::Quantile("flexlevel_response_us", 0.99)),
+    ("p99 sensing levels",      Cell::Quantile("flexlevel_sensing_levels", 0.99)),
+    ("host reads",              Cell::Counter("flexlevel_host_reads_total")),
+    ("host writes",             Cell::Counter("flexlevel_host_writes_total")),
+    ("buffer read hits",        Cell::Counter("flexlevel_buffer_read_hits_total")),
+    ("reduced-page reads",      Cell::Counter("flexlevel_reduced_reads_total")),
+    ("flash reads",             Cell::Counter("flexlevel_flash_reads_total")),
+    ("flash programs",          Cell::Counter("flexlevel_flash_programs_total")),
+    ("erases",                  Cell::Counter("flexlevel_erases_total")),
+    ("GC runs",                 Cell::Counter("flexlevel_gc_runs_total")),
+    ("GC pages moved",          Cell::Counter("flexlevel_gc_migrated_pages_total")),
+    ("promotions",              Cell::Counter("flexlevel_promotions_total")),
+    ("demotions",               Cell::Counter("flexlevel_demotions_total")),
+    ("soft-read fraction",      Cell::Gauge("flexlevel_soft_read_fraction", 3)),
+    ("write amplification",     Cell::Gauge("flexlevel_write_amplification", 2)),
+];
+
+/// The rows `--faults` adds.
+#[rustfmt::skip]
+const FAULT_ROWS: [(&str, Cell); 4] = [
+    ("retry reads",         Cell::Counter("flexlevel_retry_reads_total")),
+    ("recovered reads",     Cell::Counter("flexlevel_recovered_reads_total")),
+    ("uncorrectable reads", Cell::Counter("flexlevel_uncorrectable_reads_total")),
+    ("p99 retry depth",     Cell::Quantile("flexlevel_retry_depth", 0.99)),
+];
+
+/// The rows the pipelined model adds.
+#[rustfmt::skip]
+const PIPELINED_ROWS: [(&str, Cell); 2] = [
+    ("throughput (req/s)", Cell::Gauge("flexlevel_throughput_rps", 0)),
+    ("makespan (us)",      Cell::Gauge("flexlevel_makespan_us", 0)),
+];
+
 /// The `--all-schemes` comparison table, sourced entirely from the merged
 /// metrics registry snapshot (not from ad-hoc `SimStats` plumbing).
 fn comparison_table(recorder: &Recorder, schemes: &[Scheme], args: &Args) -> String {
     let reg = &recorder.metrics;
-    let labels: Vec<Vec<(&str, &str)>> = schemes
+    let faults: &[(&str, Cell)] = if args.faults { &FAULT_ROWS } else { &[] };
+    let pipelined: &[(&str, Cell)] = if args.timing == TimingModel::Pipelined {
+        &PIPELINED_ROWS
+    } else {
+        &[]
+    };
+    let rows: Vec<(String, Vec<String>)> = ROWS
         .iter()
-        .map(|s| vec![("scheme", s.label())])
+        .chain(faults)
+        .chain(pipelined)
+        .map(|&(title, cell)| {
+            let cells = schemes
+                .iter()
+                .map(|s| {
+                    let labels = [("scheme", s.label())];
+                    match cell {
+                        Cell::Counter(name) => {
+                            reg.find_counter(name, &labels).map(|v| v.to_string())
+                        }
+                        Cell::Gauge(name, decimals) => reg
+                            .find_gauge(name, &labels)
+                            .map(|v| format!("{v:.decimals$}")),
+                        Cell::Quantile(name, q) => reg
+                            .find_histogram(name, &labels)
+                            .filter(|h| h.count() > 0)
+                            .map(|h| format!("{:.1}", h.quantile(q))),
+                    }
+                    .unwrap_or_else(|| "-".to_string())
+                })
+                .collect();
+            (title.to_string(), cells)
+        })
         .collect();
-    let counter_cells = |name: &str| -> Vec<String> {
-        labels
-            .iter()
-            .map(|l| match reg.find_counter(name, l) {
-                Some(v) => v.to_string(),
-                None => "-".to_string(),
-            })
-            .collect()
-    };
-    let gauge_cells = |name: &str, precision: usize| -> Vec<String> {
-        labels
-            .iter()
-            .map(|l| match reg.find_gauge(name, l) {
-                Some(v) => format!("{v:.precision$}"),
-                None => "-".to_string(),
-            })
-            .collect()
-    };
-    let quantile_cells = |name: &str, q: f64| -> Vec<String> {
-        labels
-            .iter()
-            .map(|l| match reg.find_histogram(name, l) {
-                Some(h) if h.count() > 0 => format!("{:.1}", h.quantile(q)),
-                _ => "-".to_string(),
-            })
-            .collect()
-    };
-    let mut rows = Vec::new();
-    push_row(
-        &mut rows,
-        "mean response (us)",
-        gauge_cells("flexlevel_mean_response_us", 1),
-    );
-    push_row(
-        &mut rows,
-        "mean read response (us)",
-        gauge_cells("flexlevel_mean_read_response_us", 1),
-    );
-    push_row(
-        &mut rows,
-        "p50 response (us)",
-        quantile_cells("flexlevel_response_us", 0.50),
-    );
-    push_row(
-        &mut rows,
-        "p99 response (us)",
-        quantile_cells("flexlevel_response_us", 0.99),
-    );
-    push_row(
-        &mut rows,
-        "p99 sensing levels",
-        quantile_cells("flexlevel_sensing_levels", 0.99),
-    );
-    push_row(
-        &mut rows,
-        "host reads",
-        counter_cells("flexlevel_host_reads_total"),
-    );
-    push_row(
-        &mut rows,
-        "host writes",
-        counter_cells("flexlevel_host_writes_total"),
-    );
-    push_row(
-        &mut rows,
-        "buffer read hits",
-        counter_cells("flexlevel_buffer_read_hits_total"),
-    );
-    push_row(
-        &mut rows,
-        "reduced-page reads",
-        counter_cells("flexlevel_reduced_reads_total"),
-    );
-    push_row(
-        &mut rows,
-        "flash reads",
-        counter_cells("flexlevel_flash_reads_total"),
-    );
-    push_row(
-        &mut rows,
-        "flash programs",
-        counter_cells("flexlevel_flash_programs_total"),
-    );
-    push_row(&mut rows, "erases", counter_cells("flexlevel_erases_total"));
-    push_row(
-        &mut rows,
-        "GC runs",
-        counter_cells("flexlevel_gc_runs_total"),
-    );
-    push_row(
-        &mut rows,
-        "GC pages moved",
-        counter_cells("flexlevel_gc_migrated_pages_total"),
-    );
-    push_row(
-        &mut rows,
-        "promotions",
-        counter_cells("flexlevel_promotions_total"),
-    );
-    push_row(
-        &mut rows,
-        "demotions",
-        counter_cells("flexlevel_demotions_total"),
-    );
-    push_row(
-        &mut rows,
-        "soft-read fraction",
-        gauge_cells("flexlevel_soft_read_fraction", 3),
-    );
-    push_row(
-        &mut rows,
-        "write amplification",
-        gauge_cells("flexlevel_write_amplification", 2),
-    );
-    if args.faults {
-        push_row(
-            &mut rows,
-            "retry reads",
-            counter_cells("flexlevel_retry_reads_total"),
-        );
-        push_row(
-            &mut rows,
-            "recovered reads",
-            counter_cells("flexlevel_recovered_reads_total"),
-        );
-        push_row(
-            &mut rows,
-            "uncorrectable reads",
-            counter_cells("flexlevel_uncorrectable_reads_total"),
-        );
-        push_row(
-            &mut rows,
-            "p99 retry depth",
-            quantile_cells("flexlevel_retry_depth", 0.99),
-        );
-    }
-    if args.timing == TimingModel::Pipelined {
-        push_row(
-            &mut rows,
-            "throughput (req/s)",
-            gauge_cells("flexlevel_throughput_rps", 0),
-        );
-        push_row(
-            &mut rows,
-            "makespan (us)",
-            gauge_cells("flexlevel_makespan_us", 0),
-        );
-    }
     let header: Vec<&str> = schemes.iter().map(|s| s.label()).collect();
     render_table(&header, &rows)
 }
@@ -881,11 +807,7 @@ fn stage_panel(recorder: &Recorder, schemes: &[Scheme]) -> String {
             if cells.iter().all(|c| c == "-") {
                 continue;
             }
-            push_row(
-                &mut rows,
-                &format!("{} {metric} p50/p99 (us)", kind.label()),
-                cells,
-            );
+            rows.push((format!("{} {metric} p50/p99 (us)", kind.label()), cells));
         }
     }
     if rows.is_empty() {
@@ -906,10 +828,8 @@ fn attribution_panel(recorder: &Recorder, schemes: &[Scheme]) -> String {
         return String::new();
     }
     let find = |s: Scheme| attributions.iter().find(|a| a.scheme == s.label());
-    let mut rows = Vec::new();
-    push_row(
-        &mut rows,
-        "sampled reads (tail)",
+    let mut rows = vec![(
+        "sampled reads (tail)".to_string(),
         schemes
             .iter()
             .map(|&s| {
@@ -918,15 +838,14 @@ fn attribution_panel(recorder: &Recorder, schemes: &[Scheme]) -> String {
                 })
             })
             .collect(),
-    );
-    push_row(
-        &mut rows,
-        "p99 threshold (us)",
+    )];
+    rows.push((
+        "p99 threshold (us)".to_string(),
         schemes
             .iter()
             .map(|&s| find(s).map_or("-".to_string(), |a| format!("{:.1}", a.p99_threshold_us)))
             .collect(),
-    );
+    ));
     type Get = fn(&obs::PathComponents) -> f64;
     let components: [(&str, Get); 7] = [
         ("queue", |c| c.queue_us),
@@ -949,7 +868,7 @@ fn attribution_panel(recorder: &Recorder, schemes: &[Scheme]) -> String {
         if cells.iter().all(|c| c == "-" || c == "0.0/0.0") {
             continue;
         }
-        push_row(&mut rows, &format!("{name} mean/tail (us)"), cells);
+        rows.push((format!("{name} mean/tail (us)"), cells));
     }
     let header: Vec<&str> = schemes.iter().map(|s| s.label()).collect();
     render_table(&header, &rows)

@@ -20,13 +20,15 @@
 //!
 //! Read requests additionally emit a structured [`ReadSpan`] with a
 //! per-stage latency decomposition that sums to the request's flash
-//! service time. Under the single-queue model spans complete inline;
-//! under the pipelined model the logical layer builds span skeletons and
-//! the scheduler fills in start/response times. Each completion flushes
-//! the finished prefix of the request-ordered queue, so spans and
-//! response observations are emitted in request order — trace output is
-//! independent of event interleaving — and the queue only holds requests
-//! still in flight.
+//! service time. Both timing backends complete a request the same way:
+//! the logical layer builds the span skeleton and queues the request
+//! (`end_request`), then the simulator's one recorder fills in its start
+//! (`started`) and response (`finished`) times — at once under the
+//! single-queue model, as the scheduler reports them under the pipelined
+//! one. Each completion flushes the finished prefix of the
+//! request-ordered queue, so spans and response observations are
+//! emitted in request order — trace output is independent of event
+//! interleaving — and the queue only holds requests still in flight.
 //!
 //! [`SsdSimulator`]: crate::sim::SsdSimulator
 //! [`SsdSimulator::attach_observer`]: crate::sim::SsdSimulator::attach_observer
@@ -263,11 +265,13 @@ struct PendingSpan {
     rank: u8,
 }
 
-/// One request's record while the pipelined scheduler resolves timing.
+/// One request's record between its logical phase and its completion.
 #[derive(Debug)]
 struct DeferredRequest {
     arrival: Micros,
-    start: Option<Micros>,
+    /// The arrival until the request is reported started (a request
+    /// with no foreground device work never is).
+    start: Micros,
     /// `None` until the request completes (a zero response is legal).
     response: Option<Micros>,
     span: Option<PendingSpan>,
@@ -294,8 +298,8 @@ pub struct SimObserver {
     /// (0 — and never updated — for replay runs).
     current_tenant: u32,
     pending: Option<PendingSpan>,
-    /// Pipelined requests not yet flushed, in request order; the front
-    /// has key `deferred_base`.
+    /// Requests not yet flushed, in request order; the front has key
+    /// `deferred_base`.
     deferred: VecDeque<DeferredRequest>,
     deferred_base: u64,
     seq: u64,
@@ -649,38 +653,30 @@ impl SimObserver {
             .is_some_and(|s| s.sampler.restore(state))
     }
 
-    /// Completes the current request under the single-queue model.
-    pub(crate) fn end_request_single(&mut self, arrival: Micros, start: Micros, response: Micros) {
-        self.recorder
-            .metrics
-            .observe(self.h_response, response.as_f64());
-        if let Some(pending) = self.pending.take() {
-            self.emit_span(pending, arrival, start, response);
-        }
-    }
-
-    /// Defers the current request for the pipelined scheduler to time;
-    /// returns the key the later hooks name it by.
-    pub(crate) fn end_request_deferred(&mut self, arrival: Micros) -> u64 {
+    /// Ends the current request's logical phase and queues it until its
+    /// timing is known; returns the key [`started`](Self::started) and
+    /// [`finished`](Self::finished) name it by.
+    pub(crate) fn end_request(&mut self, arrival: Micros) -> u64 {
         self.deferred.push_back(DeferredRequest {
             arrival,
-            start: None,
+            start: arrival,
             response: None,
             span: self.pending.take(),
         });
         self.deferred_base + self.deferred.len() as u64 - 1
     }
 
-    /// Pipelined: request `key`'s foreground chain entered service.
-    pub(crate) fn deferred_started(&mut self, key: u64, start: Micros) {
-        self.deferred[(key - self.deferred_base) as usize].start = Some(start);
+    /// Request `key` entered service at `start`.
+    pub(crate) fn started(&mut self, key: u64, start: Micros) {
+        self.deferred[(key - self.deferred_base) as usize].start = start;
     }
 
-    /// Pipelined: request `key` completed with `response`. Flushes the
-    /// finished prefix of the queue — response observations and spans in
-    /// request order, making trace/metric state independent of the
-    /// scheduler's interleaving.
-    pub(crate) fn deferred_finished(&mut self, key: u64, response: Micros) {
+    /// Request `key` completed with `response`. Flushes the finished
+    /// prefix of the queue — response observations and spans in request
+    /// order, making trace/metric state independent of the scheduler's
+    /// interleaving. Under the single-queue model every request finishes
+    /// as it is admitted, so the queue flushes at once.
+    pub(crate) fn finished(&mut self, key: u64, response: Micros) {
         self.deferred[(key - self.deferred_base) as usize].response = Some(response);
         while let Some(response) = self.deferred.front().and_then(|d| d.response) {
             let done = self.deferred.pop_front();
@@ -695,7 +691,7 @@ impl SimObserver {
                 ..
             }) = done
             {
-                self.emit_span(span, arrival, start.unwrap_or(arrival), response);
+                self.emit_span(span, arrival, start, response);
             }
         }
     }
@@ -901,6 +897,40 @@ impl SimObserver {
                 "99.9th-percentile tenant response time (us).",
                 t.p999().as_f64(),
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spans_flush_in_request_order_as_the_finished_prefix_grows() {
+        let mut o = SimObserver::new(Scheme::FlexLevel, 0);
+        let arrival = |i: u64| Micros(10.0 * i as f64);
+        let response = |i: u64| Micros(100.0 + i as f64);
+        let keys: Vec<u64> = (0..3)
+            .map(|i| {
+                o.begin_request(i, true, arrival(i).as_f64());
+                let key = o.end_request(arrival(i));
+                o.started(key, arrival(i) + Micros(1.0));
+                key
+            })
+            .collect();
+        let mut flushed = Vec::new();
+        for i in [2, 0, 1] {
+            o.finished(keys[i as usize], response(i));
+            let responses = o.recorder().metrics.histogram_value(o.h_response).count();
+            flushed.push((o.recorder().spans.len(), responses));
+        }
+        assert_eq!(flushed, [(0, 0), (1, 1), (3, 3)]);
+        for (i, span) in o.recorder().spans.spans().iter().enumerate() {
+            let i = i as u64;
+            assert_eq!((span.seq, span.lpn), (i, i));
+            assert_eq!(span.arrival_us, arrival(i).as_f64());
+            assert_eq!(span.start_us, arrival(i).as_f64() + 1.0);
+            assert_eq!(span.response_us, response(i).as_f64());
         }
     }
 }

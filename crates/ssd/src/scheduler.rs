@@ -7,6 +7,10 @@
 //! request's response is the completion of its foreground chain, measured
 //! from its *original* arrival (any deferral wait included).
 //!
+//! The scheduler only reports what happened: [`Scheduler::drain`] hands
+//! each [`Event`] to the caller's recorder in pop order, and the caller
+//! decides what to account.
+//!
 //! Scheduling streams alongside the logical layer instead of replaying
 //! the whole run afterwards. Before the logical layer takes a request
 //! arriving at `a`, the loop drains every event earlier than `a`; after the
@@ -28,19 +32,28 @@ use ldpc::ReadLatencyModel;
 use crate::config::SsdConfig;
 use crate::device::ResourcePool;
 use crate::events::EventQueue;
-use crate::obs::SimObserver;
-use crate::pipeline::{expand_ops, FlashOp, Stage};
-use crate::stats::SimStats;
+use crate::pipeline::{expand_ops, FlashOp, Stage, StageKind};
 
-/// What the scheduler needs to account one request's response.
-#[derive(Debug, Clone, Copy)]
+/// What the recorder needs to account one request's response.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Request {
     pub(crate) tenant: u32,
     pub(crate) arrival: Micros,
     pub(crate) is_read: bool,
-    /// The observer's key for this request (see
-    /// [`SimObserver::end_request_deferred`]); unused without an observer.
+    /// The observer's key for this request; unused without an observer.
     pub(crate) obs_key: u64,
+}
+
+/// What [`Scheduler::drain`] reports, in pop order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Event {
+    /// The request's foreground chain entered service at this time.
+    Started(Request, Micros),
+    /// One stage ran: its kind, service (busy) time and queueing wait.
+    Stage(StageKind, Micros, Micros),
+    /// The request completed with this response time, measured from its
+    /// original arrival.
+    Finished(Request, Micros),
 }
 
 /// An admitted request waiting for its submission time; the chains are
@@ -65,7 +78,6 @@ struct Chain {
 #[derive(Debug)]
 pub(crate) struct Scheduler {
     pool: ResourcePool,
-    tenanted: bool,
     /// Admitted requests keyed by submission time; seq is admission order.
     arrivals: EventQueue<Admission>,
     /// Stage completions, by chain id.
@@ -76,7 +88,7 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// An idle schedule on `config`'s resources.
-    pub(crate) fn new(config: &SsdConfig, tenanted: bool) -> Scheduler {
+    pub(crate) fn new(config: &SsdConfig) -> Scheduler {
         Scheduler {
             pool: ResourcePool::new(
                 config.channels,
@@ -84,7 +96,6 @@ impl Scheduler {
                 config.planes_per_die,
                 config.decoder_slots,
             ),
-            tenanted,
             arrivals: EventQueue::new(),
             completions: EventQueue::new(),
             chains: Vec::new(),
@@ -113,14 +124,8 @@ impl Scheduler {
     }
 
     /// Pops events in schedule order while they fire before `before`
-    /// (everything when `None`), accounting stages and responses into
-    /// `stats` and the observer.
-    pub(crate) fn drain(
-        &mut self,
-        before: Option<Micros>,
-        stats: &mut SimStats,
-        obs: &mut Option<Box<SimObserver>>,
-    ) {
+    /// (everything when `None`), reporting each to `report`.
+    pub(crate) fn drain(&mut self, before: Option<Micros>, mut report: impl FnMut(Event)) {
         loop {
             let arrival = self.arrivals.peek_time();
             let done = self.completions.peek_time();
@@ -135,10 +140,10 @@ impl Scheduler {
             }
             if arrives {
                 if let Some(ev) = self.arrivals.pop() {
-                    self.arrive(ev.payload, ev.time, stats, obs);
+                    self.arrive(ev.payload, ev.time, &mut report);
                 }
             } else if let Some(ev) = self.completions.pop() {
-                self.complete(ev.payload, ev.time, stats, obs);
+                self.complete(ev.payload, ev.time, &mut report);
             }
         }
     }
@@ -159,92 +164,131 @@ impl Scheduler {
     }
 
     /// A request's submission time came: its chains enter service.
-    fn arrive(
-        &mut self,
-        adm: Admission,
-        time: Micros,
-        stats: &mut SimStats,
-        obs: &mut Option<Box<SimObserver>>,
-    ) {
+    fn arrive(&mut self, adm: Admission, time: Micros, report: &mut impl FnMut(Event)) {
+        let request = adm.request;
         // Foreground first: host work wins ties against the background
         // chain admitted at the same instant.
         match adm.fg {
             // No device work: the response is just the defer wait (zero
             // in replay, where submit == arrival).
-            None => self.finish(adm.request, time, stats, obs),
+            None => report(Event::Finished(request, time - request.arrival)),
             Some(id) => {
-                self.chains[id].request = Some(adm.request);
-                let start = self.start_stage(id, time, stats, obs);
-                if let Some(o) = obs.as_mut() {
-                    o.deferred_started(adm.request.obs_key, start);
-                }
+                self.chains[id].request = Some(request);
+                let start = self.start_stage(id, time, report);
+                report(Event::Started(request, start));
             }
         }
         if let Some(id) = adm.bg {
-            self.start_stage(id, time, stats, obs);
+            self.start_stage(id, time, report);
         }
     }
 
     /// Chain `id`'s current stage finished at `time`.
-    fn complete(
-        &mut self,
-        id: usize,
-        time: Micros,
-        stats: &mut SimStats,
-        obs: &mut Option<Box<SimObserver>>,
-    ) {
+    fn complete(&mut self, id: usize, time: Micros, report: &mut impl FnMut(Event)) {
         let chain = &mut self.chains[id];
         chain.next += 1;
         if chain.next < chain.stages.len() {
-            self.start_stage(id, time, stats, obs);
+            self.start_stage(id, time, report);
             return;
         }
         if let Some(request) = chain.request.take() {
-            self.finish(request, time, stats, obs);
+            report(Event::Finished(request, time - request.arrival));
         }
         self.free.push(id);
     }
 
     /// Reserves chain `id`'s next stage from `ready` and schedules its
     /// completion; returns the stage's service start time.
-    fn start_stage(
-        &mut self,
-        id: usize,
-        ready: Micros,
-        stats: &mut SimStats,
-        obs: &mut Option<Box<SimObserver>>,
-    ) -> Micros {
+    fn start_stage(&mut self, id: usize, ready: Micros, report: &mut impl FnMut(Event)) -> Micros {
         let chain = &self.chains[id];
         let stage = chain.stages[chain.next];
         let (start, end) = self
             .pool
             .reserve(stage.kind, stage.lpn, ready, stage.duration);
-        stats.record_stage(stage.kind, stage.duration, start - ready);
-        if let Some(o) = obs.as_mut() {
-            o.record_stage(stage.kind, stage.duration, start - ready);
-        }
+        report(Event::Stage(stage.kind, stage.duration, start - ready));
         self.completions.push(end, id);
         start
     }
+}
 
-    /// Records `request`'s response, complete at `time`.
-    fn finish(
-        &self,
-        request: Request,
-        time: Micros,
-        stats: &mut SimStats,
-        obs: &mut Option<Box<SimObserver>>,
-    ) {
-        let response = time - request.arrival;
-        stats.record_response(response, request.is_read);
-        if self.tenanted {
-            stats.tenants[request.tenant as usize].record_response(response);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Scheme;
+
+    fn request(tenant: u32, arrival: f64) -> Request {
+        Request {
+            tenant,
+            arrival: Micros(arrival),
+            is_read: false,
+            obs_key: u64::from(tenant),
         }
-        if let Some(o) = obs.as_mut() {
-            o.deferred_finished(request.obs_key, response);
-            if self.tenanted {
-                o.tenant_response(request.tenant, response);
-            }
+    }
+
+    /// Admits `(request, submit, fg ops)` in order, then drains
+    /// everything, collecting the reported events.
+    fn events(admitted: &[(Request, Micros, &[FlashOp])]) -> Vec<Event> {
+        let config = SsdConfig::scaled(Scheme::Baseline, 16);
+        let mut scheduler = Scheduler::new(&config);
+        for &(request, submit, fg) in admitted {
+            scheduler.admit(request, submit, fg, &[], &config.latency);
         }
+        let mut events = Vec::new();
+        scheduler.drain(None, |event| events.push(event));
+        events
+    }
+
+    #[test]
+    fn an_arrival_wins_a_time_tie_against_a_stage_completion() {
+        let t = ReadLatencyModel::paper_mlc().timing;
+        let (a, b) = (request(0, 0.0), request(1, t.page_transfer.as_f64()));
+        // `b` arrives the instant `a`'s transfer completes, and its erase
+        // needs the plane `a`'s program is about to take.
+        let got = events(&[
+            (a, a.arrival, &[FlashOp::Program { lpn: 0 }]),
+            (b, b.arrival, &[FlashOp::Erase { lpn: 0 }]),
+        ]);
+        let program_start = b.arrival + t.erase;
+        assert_eq!(
+            got,
+            [
+                Event::Stage(StageKind::Transfer, t.page_transfer, Micros::ZERO),
+                Event::Started(a, a.arrival),
+                Event::Stage(StageKind::Erase, t.erase, Micros::ZERO),
+                Event::Started(b, b.arrival),
+                Event::Stage(StageKind::Program, t.program, program_start - b.arrival),
+                Event::Finished(b, program_start - b.arrival),
+                Event::Finished(a, program_start + t.program - a.arrival),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_empty_foreground_chain_reports_only_its_defer_wait() {
+        let r = request(2, 10.0);
+        assert_eq!(
+            events(&[(r, Micros(25.0), &[])]),
+            [Event::Finished(r, Micros(15.0))]
+        );
+    }
+
+    #[test]
+    fn a_second_sense_on_one_die_waits_out_the_first() {
+        let read = [FlashOp::Read {
+            lpn: 0,
+            extra_levels: 2,
+            decode: Micros(5.0),
+        }];
+        let (a, b) = (request(0, 0.0), request(1, 0.0));
+        let senses: Vec<(Micros, Micros)> = events(&[(a, a.arrival, &read), (b, b.arrival, &read)])
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Stage(StageKind::Sense, busy, wait) => Some((busy, wait)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(senses.len(), 2);
+        assert_eq!(senses[0].1, Micros::ZERO);
+        assert_eq!(senses[1].1, senses[0].0);
     }
 }

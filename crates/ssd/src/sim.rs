@@ -50,7 +50,9 @@
 //!   hands the admitted op chains to its streaming event scheduler.
 //! * **Accounting** — run-wide [`SimStats`] plus per-tenant
 //!   [`TenantStats`] (arrivals, drops, defers, latency SLO tracking),
-//!   mirrored into `flexlevel-obs` with tenant labels.
+//!   mirrored into `flexlevel-obs` with tenant labels. Both backends
+//!   record a finished request through one recorder: the scheduler
+//!   reports events to it, the single-queue backend calls it directly.
 //!
 //! [`run`]: SsdSimulator::run
 //! [`serve`]: SsdSimulator::serve
@@ -71,7 +73,7 @@ use crate::pipeline::FlashOp;
 use crate::recovery;
 use crate::recovery::{config_fingerprint, DeviceImage, ImageError};
 use crate::scenario::EnvironmentState;
-use crate::scheduler::{Request, Scheduler};
+use crate::scheduler::{Event, Request, Scheduler};
 use crate::serve::{Admit, Backpressure, ServeError, ServeOptions};
 use crate::stats::{SimStats, TenantStats};
 
@@ -732,9 +734,7 @@ impl SsdSimulator {
         source: &mut S,
         options: &ServeOptions,
     ) -> Result<(), SimError> {
-        let mut scheduler = self
-            .pipelined()
-            .then(|| Scheduler::new(&self.config, options.tenanted()));
+        let mut scheduler = self.pipelined().then(|| Scheduler::new(&self.config));
         // Admission runs on a copy of the lumped clock that only the
         // single-queue model keeps: under the pipelined model the
         // device's own horizons — and so its checkpoint images — never
@@ -754,7 +754,7 @@ impl SsdSimulator {
         outcome?;
         self.stats.makespan_us = match scheduler.as_mut() {
             Some(s) => {
-                s.drain(None, &mut self.stats, &mut self.obs);
+                s.drain(None, |event| self.record(event));
                 s.busy_until().as_f64()
             }
             None => self
@@ -804,7 +804,7 @@ impl SsdSimulator {
             last_arrival = request.arrival_us;
             let arrival = Micros(request.arrival_us);
             if let Some(s) = scheduler.as_deref_mut() {
-                s.drain(Some(arrival), &mut self.stats, &mut self.obs);
+                s.drain(Some(arrival), |event| self.record(event));
             }
             if let Some(o) = self.obs.as_mut() {
                 o.on_arrival(request.arrival_us, &self.stats, backpressure);
@@ -848,32 +848,18 @@ impl SsdSimulator {
                     t.writes += 1;
                 }
             }
+            let pending = Request {
+                tenant,
+                arrival,
+                is_read: plan.is_read,
+                obs_key: self.obs.as_mut().map_or(0, |o| o.end_request(arrival)),
+            };
             match scheduler.as_deref_mut() {
                 None => {
-                    self.stats.record_response(lumped, plan.is_read);
-                    if let Some(o) = self.obs.as_mut() {
-                        o.end_request_single(arrival, start, lumped);
-                    }
-                    if tenanted {
-                        self.stats.tenants[tenant as usize].record_response(lumped);
-                        if let Some(o) = self.obs.as_mut() {
-                            o.tenant_response(tenant, lumped);
-                        }
-                    }
+                    self.record(Event::Started(pending, start));
+                    self.record(Event::Finished(pending, lumped));
                 }
-                Some(s) => {
-                    let obs_key = self
-                        .obs
-                        .as_mut()
-                        .map_or(0, |o| o.end_request_deferred(arrival));
-                    let pending = Request {
-                        tenant,
-                        arrival,
-                        is_read: plan.is_read,
-                        obs_key,
-                    };
-                    s.admit(pending, submit, &ops.fg, &ops.bg, &self.config.latency);
-                }
+                Some(s) => s.admit(pending, submit, &ops.fg, &ops.bg, &self.config.latency),
             }
             self.ftl.record_commit(at);
             if let Some(err) = self.check_crash(at, request.arrival_us, records_before) {
@@ -881,6 +867,41 @@ impl SsdSimulator {
             }
         }
         Ok(())
+    }
+
+    /// Records one finished request, stage or service start into
+    /// [`SimStats`], the request's tenant and the observer: the one
+    /// recording path of both timing backends. The pipelined scheduler
+    /// reports its events here; the single-queue model reports each
+    /// request's lumped response as it is admitted.
+    fn record(&mut self, event: Event) {
+        match event {
+            Event::Started(request, start) => {
+                if let Some(o) = self.obs.as_mut() {
+                    o.started(request.obs_key, start);
+                }
+            }
+            Event::Stage(kind, busy, wait) => {
+                self.stats.record_stage(kind, busy, wait);
+                if let Some(o) = self.obs.as_mut() {
+                    o.record_stage(kind, busy, wait);
+                }
+            }
+            Event::Finished(request, response) => {
+                self.stats.record_response(response, request.is_read);
+                let tenant = self.stats.tenants.get_mut(request.tenant as usize);
+                let tenanted = tenant.is_some();
+                if let Some(t) = tenant {
+                    t.record_response(response);
+                }
+                if let Some(o) = self.obs.as_mut() {
+                    o.finished(request.obs_key, response);
+                    if tenanted {
+                        o.tenant_response(request.tenant, response);
+                    }
+                }
+            }
+        }
     }
 
     /// Runs one request through the logical layer (buffer, FTL, wear,

@@ -1,6 +1,7 @@
 //! Simulation counters, response-time and per-stage accounting.
 
 use flash_model::Micros;
+use obs::SAMPLE_SEED;
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::StageKind;
@@ -141,8 +142,6 @@ pub struct SimStats {
 /// Reservoir capacity: runs at or below this many responses keep every
 /// sample, making percentiles exact.
 const MAX_SAMPLES: usize = 1 << 17;
-/// Fixed seed of the reservoir's replacement stream.
-const SAMPLE_SEED: u64 = 0x5EED_5A3B_1E5E_4701;
 
 /// Percentile (`q` in `[0, 1]`) of a retained sample, or zero if empty.
 ///

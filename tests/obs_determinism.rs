@@ -10,8 +10,11 @@
 use obs::{export, Recorder};
 use rand::{rngs::StdRng, SeedableRng};
 use reliability::mc;
-use ssd::{Scheme, SimObserver, SimStats, SsdConfig, SsdSimulator, StageKind, TimingModel};
-use workloads::{Trace, WorkloadSpec};
+use ssd::{
+    OverloadPolicy, Scheme, ServeOptions, SimObserver, SimStats, SsdConfig, SsdSimulator,
+    StageKind, TenantQos, TimingModel,
+};
+use workloads::{OpenLoopSource, TenantWorkload, Trace, WorkloadSpec};
 
 /// Same knobs as the golden fixture, shrunk for test runtime.
 fn fixture_trace() -> Trace {
@@ -331,4 +334,72 @@ fn stage_histograms_reconcile_with_stage_accounts() {
         );
     }
     assert!(total_ops > 0, "pipelined run recorded no stage executions");
+}
+
+/// Both timing backends record a finished request through one path: the
+/// response histograms hold exactly the responses `SimStats` and each
+/// tenant's stats counted, with the same maxima, on a replay and on a
+/// two-tenant serve whose deferrals delay submission.
+#[test]
+fn response_histograms_match_stats_on_both_backends() {
+    let scheme = Scheme::FlexLevel;
+    let trace = fixture_trace();
+    for model in [TimingModel::SingleQueue, TimingModel::Pipelined] {
+        let (stats, recorder) = observed_run(scheme, &trace, model);
+        assert!(stats.tenants.is_empty());
+        assert_responses_match(&stats, &recorder, model);
+
+        let mut sim = SsdSimulator::new(config_for(scheme, model))
+            .with_observer(SimObserver::new(scheme, 100));
+        let tenants = vec![
+            TenantWorkload::new(0, 1_024, 2_000.0).with_requests(1_500),
+            TenantWorkload::new(1_024, 1_024, 6_000.0).with_requests(1_500),
+        ];
+        let qos = TenantQos::default()
+            .with_queue_depth(4)
+            .with_policy(OverloadPolicy::Defer);
+        let stats = sim
+            .serve(
+                &mut OpenLoopSource::new(tenants, 5),
+                &ServeOptions::uniform(2, qos),
+            )
+            .expect("serving run succeeds")
+            .clone();
+        let recorder = sim
+            .take_observer()
+            .expect("observer attached")
+            .into_recorder();
+        assert_eq!(stats.tenants.len(), 2);
+        assert!(stats.tenants.iter().any(|t| t.deferred > 0), "no deferral");
+        assert_responses_match(&stats, &recorder, model);
+    }
+}
+
+fn assert_responses_match(stats: &SimStats, recorder: &Recorder, model: TimingModel) {
+    let scheme = Scheme::FlexLevel.label();
+    let all = recorder
+        .metrics
+        .find_histogram("flexlevel_response_us", &[("scheme", scheme)])
+        .expect("response histogram");
+    assert!(stats.responses_seen > 0);
+    assert_eq!(all.count(), stats.responses_seen, "{}", model.label());
+    assert_eq!(all.max(), stats.max_response_us, "{}", model.label());
+    for (tenant, t) in stats.tenants.iter().enumerate() {
+        let id = tenant.to_string();
+        let h = recorder
+            .metrics
+            .find_histogram(
+                "flexlevel_tenant_response_us",
+                &[("scheme", scheme), ("tenant", &id)],
+            )
+            .expect("tenant response histogram");
+        assert!(t.served > 0);
+        assert_eq!(h.count(), t.served, "{} tenant {tenant}", model.label());
+        assert_eq!(
+            h.max(),
+            t.max_response_us,
+            "{} tenant {tenant}",
+            model.label()
+        );
+    }
 }
