@@ -80,12 +80,6 @@ impl NandTiming {
         let passes = 1.0 + extra_sensing_levels as f64;
         self.read_sense * passes + self.page_transfer * passes
     }
-
-    /// Latency of a reduced-state (ReduceCode) read with no extra sensing
-    /// levels: a plain read plus the one-cycle decode of ReduceCode.
-    pub fn reduced_read_latency(&self) -> Micros {
-        self.read_transfer_latency(0) + self.reduce_code_cycle
-    }
 }
 
 impl Default for NandTiming {
@@ -136,8 +130,7 @@ mod tests {
     fn reduce_code_overhead_is_negligible() {
         let t = NandTiming::paper_mlc();
         let plain = t.read_transfer_latency(0);
-        let reduced = t.reduced_read_latency();
-        let overhead = (reduced - plain).as_f64();
+        let overhead = t.reduce_code_cycle.as_f64();
         assert!(overhead > 0.0);
         assert!(
             overhead / plain.as_f64() < 1e-4,

@@ -10,7 +10,6 @@
 use flash_model::{Micros, NandTiming};
 use serde::{Deserialize, Serialize};
 
-use crate::decoder::DecodeOutcome;
 use crate::sensing::FerMeasurement;
 
 /// Latency model for LDPC-protected reads.
@@ -57,26 +56,6 @@ impl ReadLatencyModel {
         self.decode_base + self.decode_per_iteration * iterations as f64
     }
 
-    /// Per-stage decomposition of [`read_latency`](Self::read_latency):
-    /// the same total cost, split into the die-resident sensing time, the
-    /// channel-resident bus time and the controller-resident decode time.
-    /// The pipelined SSD timing model schedules each part on its own
-    /// resource so stages of different reads can overlap.
-    pub fn read_stages(&self, extra_levels: u32, iterations: u32) -> ReadStageCosts {
-        ReadStageCosts {
-            sense: self.timing.sense_latency(extra_levels),
-            transfer: self.timing.transfer_latency(extra_levels),
-            decode: self.decode_latency(iterations),
-        }
-    }
-
-    /// Latency of a reduced-state (LevelAdjust) read: hard-decision
-    /// sensing, ReduceCode's one-cycle decode, and a short LDPC pass
-    /// (clean input converges immediately).
-    pub fn reduced_read_latency(&self) -> Micros {
-        self.timing.reduced_read_latency() + self.decode_base + self.decode_per_iteration
-    }
-
     /// A monotone heuristic for expected decoder iterations at raw BER
     /// `ber`, calibrated against the min-sum decoder's measured behaviour
     /// (clean frames converge in 1–3 iterations; near-threshold frames
@@ -91,40 +70,6 @@ impl ReadLatencyModel {
     /// [`typical_iterations`](Self::typical_iterations).
     pub fn read_latency_at_ber(&self, extra_levels: u32, ber: f64) -> Micros {
         self.read_latency(extra_levels, self.typical_iterations(ber))
-    }
-
-    /// Latency of a read whose decode produced `outcome`: charges the
-    /// iterations the decoder *actually* executed, so an early-converging
-    /// decode is no longer billed the worst-case iteration count.
-    pub fn read_latency_for_outcome(&self, extra_levels: u32, outcome: &DecodeOutcome) -> Micros {
-        self.read_latency(extra_levels, outcome.iterations)
-    }
-
-    /// Convenience: latency at `extra_levels` with the mean measured
-    /// iteration count of `profile` at that depth.
-    pub fn read_latency_measured(&self, extra_levels: u32, profile: &IterationProfile) -> Micros {
-        self.read_latency(extra_levels, profile.iterations(extra_levels))
-    }
-}
-
-/// The three independently schedulable parts of one LDPC-protected read,
-/// as split by [`ReadLatencyModel::read_stages`]: sensing occupies the
-/// page's die, transfer its channel, decode a controller decoder slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReadStageCosts {
-    /// Array sensing time (die-resident).
-    pub sense: Micros,
-    /// Page-image bus time (channel-resident).
-    pub transfer: Micros,
-    /// Decoder runtime (controller-resident).
-    pub decode: Micros,
-}
-
-impl ReadStageCosts {
-    /// Sum of all stages — equals the lumped
-    /// [`read_latency`](ReadLatencyModel::read_latency).
-    pub fn total(&self) -> Micros {
-        self.sense + self.transfer + self.decode
     }
 }
 
@@ -216,27 +161,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_split_sums_to_lumped_read_latency() {
-        let m = ReadLatencyModel::paper_mlc();
-        for levels in 0..=6u32 {
-            for iters in [1u32, 2, 10, 30] {
-                let stages = m.read_stages(levels, iters);
-                assert_eq!(
-                    stages.total(),
-                    m.read_latency(levels, iters),
-                    "split must sum exactly at {levels} levels / {iters} iters"
-                );
-                assert_eq!(stages.decode, m.decode_latency(iters));
-            }
-        }
-        // The hard-read decomposition pins the Table 6 constants.
-        let hard = m.read_stages(0, 2);
-        assert_eq!(hard.sense, Micros(90.0));
-        assert_eq!(hard.transfer, Micros(40.0));
-        assert_eq!(hard.decode, Micros(5.0)); // 2 + 2 × 1.5
-    }
-
-    #[test]
     fn hard_read_baseline() {
         let m = ReadLatencyModel::paper_mlc();
         let hard = m.read_latency(0, 2);
@@ -264,17 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_read_is_cheap() {
-        let m = ReadLatencyModel::paper_mlc();
-        let reduced = m.reduced_read_latency();
-        let hard = m.read_latency(0, 1);
-        // ReduceCode adds one clock cycle on top of a minimal read.
-        assert!((reduced.as_f64() - hard.as_f64()).abs() < 0.01);
-        // And is far below even one extra sensing level.
-        assert!(reduced < m.read_latency(1, 1));
-    }
-
-    #[test]
     fn typical_iterations_monotone_and_clamped() {
         let m = ReadLatencyModel::paper_mlc();
         assert!(m.typical_iterations(0.0) >= 1);
@@ -289,22 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_latency_charges_actual_iterations() {
-        let m = ReadLatencyModel::paper_mlc();
-        let outcome = DecodeOutcome {
-            success: true,
-            iterations: 3,
-            hard_decision: vec![],
-        };
-        assert_eq!(
-            m.read_latency_for_outcome(0, &outcome),
-            m.read_latency(0, 3)
-        );
-        // An early-converging decode beats the worst-case assumption.
-        assert!(m.read_latency_for_outcome(0, &outcome) < m.read_latency(0, 30));
-    }
-
-    #[test]
     fn iteration_profile_lookup_saturates() {
         let p = IterationProfile::new([2.0, 2.4, 3.6, 5.0, 8.0, 12.0, 18.0, 25.0]);
         assert_eq!(p.iterations(0), 2);
@@ -312,8 +209,6 @@ mod tests {
         assert_eq!(p.iterations(2), 4); // 3.6 rounds up
         assert_eq!(p.iterations(7), 25);
         assert_eq!(p.iterations(40), 25); // saturates at the last slot
-        let m = ReadLatencyModel::paper_mlc();
-        assert_eq!(m.read_latency_measured(2, &p), m.read_latency(2, 4));
     }
 
     #[test]

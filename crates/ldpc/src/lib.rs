@@ -66,7 +66,7 @@ pub use code::{CodeError, QcLdpcCode};
 pub use decoder::{DecodeOutcome, DecoderGraph, MinSumDecoder};
 pub use encoder::{encode, random_info, EncodeError};
 pub use farm::{measure_iteration_profile, DecodeFarm, DecodeRequest, DecodeVerdict, FarmConfig};
-pub use latency::{IterationProfile, ReadLatencyModel, ReadStageCosts};
+pub use latency::{IterationProfile, ReadLatencyModel};
 pub use quantized::{
     BatchOutcome, DecodeKernel, DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder, Schedule,
     Q_MAX,

@@ -96,10 +96,11 @@ Device and workload:
 Timing:
   --timing M            single (lumped queue) | pipelined (discrete-event
                         sense/transfer/decode stages)   (default single)
-  --channels N          parallel flash channels (default 1)
-  --dies N              dies per channel, pipelined model (default 4)
-  --decoders N          controller LDPC decoder slots, pipelined model
-                        (default 2)
+  --channels N          parallel flash channels, at least 1 (default 1)
+  --dies N              dies per channel, pipelined model, at least 1
+                        (default 4)
+  --decoders N          controller LDPC decoder slots, pipelined model,
+                        at least 1 (default 2)
   --threads N           host worker threads for the decode farm and sweeps;
                         0 = FLEXLEVEL_THREADS or the machine (default 0).
                         Never changes results, only wall-clock time
@@ -241,7 +242,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
             "--blocks" => args.blocks = positive(flag, it)?,
             "--requests" => args.requests = value(flag, it)?,
             "--seed" => args.seed = value(flag, it)?,
-            "--channels" => args.channels = value(flag, it)?,
+            "--channels" => args.channels = positive(flag, it)?,
             "--timing" => {
                 args.timing = match value::<String>(flag, it)?.as_str() {
                     "single" | "single-queue" => TimingModel::SingleQueue,
@@ -249,8 +250,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
                     other => return Err(format!("unknown timing model '{other}'")),
                 }
             }
-            "--dies" => args.dies = value(flag, it)?,
-            "--decoders" => args.decoders = value(flag, it)?,
+            "--dies" => args.dies = positive(flag, it)?,
+            "--decoders" => args.decoders = positive(flag, it)?,
             "--all-schemes" => args.all_schemes = true,
             "--faults" => args.faults = true,
             "--fault-scale" => args.fault_scale = value(flag, it)?,

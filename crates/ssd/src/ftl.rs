@@ -41,26 +41,18 @@ impl OpCost {
         self.gc_moved += other.gc_moved;
     }
 
-    /// Expands the counts into a schedulable op chain for the pipelined
-    /// timing model: every internal read becomes a sense+transfer copy,
-    /// every program a transfer+program, every erase an erase stage.
-    /// All ops are routed at `lpn` — the page whose write or migration
-    /// triggered the work — which keeps the expansion deterministic
-    /// without threading physical block numbers through the simulator.
-    pub fn flash_ops(&self, lpn: u64) -> Vec<crate::pipeline::FlashOp> {
+    /// Appends the counts to a request's op chain `ops`: every internal
+    /// read becomes a sense+transfer copy, every program a
+    /// transfer+program, every erase an erase stage. All ops are routed
+    /// at `lpn` — the page whose write or migration triggered the work —
+    /// which keeps the expansion deterministic without threading
+    /// physical block numbers through the simulator.
+    pub fn push_ops(&self, lpn: u64, ops: &mut Vec<crate::pipeline::FlashOp>) {
         use crate::pipeline::FlashOp;
-        let n = self.flash_reads + self.programs + self.erases;
-        let mut ops = Vec::with_capacity(n as usize);
-        for _ in 0..self.flash_reads {
-            ops.push(FlashOp::GcRead { lpn });
-        }
-        for _ in 0..self.programs {
-            ops.push(FlashOp::Program { lpn });
-        }
-        for _ in 0..self.erases {
-            ops.push(FlashOp::Erase { lpn });
-        }
-        ops
+        use std::iter::repeat_n;
+        ops.extend(repeat_n(FlashOp::GcRead { lpn }, self.flash_reads as usize));
+        ops.extend(repeat_n(FlashOp::Program { lpn }, self.programs as usize));
+        ops.extend(repeat_n(FlashOp::Erase { lpn }, self.erases as usize));
     }
 }
 
@@ -1160,17 +1152,21 @@ mod tests {
             gc_runs: 1,
             gc_moved: 2,
         };
-        let ops = cost.flash_ops(11);
+        // Ops are appended after whatever the chain already holds.
+        let mut ops = vec![FlashOp::HostTransfer { lpn: 3 }];
+        cost.push_ops(11, &mut ops);
         assert_eq!(
             ops,
             vec![
+                FlashOp::HostTransfer { lpn: 3 },
                 FlashOp::GcRead { lpn: 11 },
                 FlashOp::GcRead { lpn: 11 },
                 FlashOp::Program { lpn: 11 },
                 FlashOp::Erase { lpn: 11 },
             ]
         );
-        assert!(OpCost::default().flash_ops(0).is_empty());
+        OpCost::default().push_ops(0, &mut ops);
+        assert_eq!(ops.len(), 5);
     }
 
     #[test]

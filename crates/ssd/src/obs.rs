@@ -20,15 +20,18 @@
 //!
 //! Read requests additionally emit a structured [`ReadSpan`] with a
 //! per-stage latency decomposition that sums to the request's flash
-//! service time. Both timing backends complete a request the same way:
-//! the logical layer builds the span skeleton and queues the request
-//! (`end_request`), then the simulator's one recorder fills in its start
-//! (`started`) and response (`finished`) times — at once under the
-//! single-queue model, as the scheduler reports them under the pipelined
-//! one. Each completion flushes the finished prefix of the
-//! request-ordered queue, so spans and response observations are
-//! emitted in request order — trace output is independent of event
-//! interleaving — and the queue only holds requests still in flight.
+//! service time. The stages are read off the request's foreground
+//! [`FlashOp`] chain — the same chain the single-queue model prices and
+//! the pipelined model schedules — when the logical layer queues the
+//! request (`end_request`); a recovery rung ([`FlashOp::Retry`]) is one
+//! `"retry"` stage. Both timing backends complete a request the same
+//! way: the simulator's one recorder fills in its start (`started`) and
+//! response (`finished`) times — at once under the single-queue model,
+//! as the scheduler reports them under the pipelined one. Each
+//! completion flushes the finished prefix of the request-ordered queue,
+//! so spans and response observations are emitted in request order —
+//! trace output is independent of event interleaving — and the queue
+//! only holds requests still in flight.
 //!
 //! [`SsdSimulator`]: crate::sim::SsdSimulator
 //! [`SsdSimulator::attach_observer`]: crate::sim::SsdSimulator::attach_observer
@@ -37,13 +40,14 @@
 use std::collections::VecDeque;
 
 use flash_model::Micros;
+use ldpc::ReadLatencyModel;
 use obs::{
     EventKind, HistogramId, ReadSpan, Recorder, SeriesSampler, SeriesState, SpanOutcome,
     StageTiming, TraceEvent,
 };
 
 use crate::config::Scheme;
-use crate::pipeline::StageKind;
+use crate::pipeline::{FlashOp, StageKind};
 use crate::serve::{Backpressure, ServeOptions};
 use crate::stats::SimStats;
 
@@ -258,7 +262,6 @@ struct PendingSpan {
     lpn: u64,
     tenant: u32,
     stages: Vec<StageTiming>,
-    offset_us: f64,
     sensing_levels: u32,
     decode_iterations: u32,
     retry_rungs: u32,
@@ -506,18 +509,6 @@ impl SimObserver {
         });
     }
 
-    /// Appends one stage to the current request's span.
-    pub(crate) fn span_stage(&mut self, stage: &'static str, duration: Micros) {
-        if let Some(pending) = self.pending.as_mut() {
-            pending.stages.push(StageTiming {
-                stage,
-                offset_us: pending.offset_us,
-                duration_us: duration.as_f64(),
-            });
-            pending.offset_us += duration.as_f64();
-        }
-    }
-
     /// Records one flash-served host page read: its sensing depth and
     /// charged decoder iterations.
     pub(crate) fn flash_read(&mut self, levels: u32, iterations: u32) {
@@ -655,13 +646,34 @@ impl SimObserver {
 
     /// Ends the current request's logical phase and queues it until its
     /// timing is known; returns the key [`started`](Self::started) and
-    /// [`finished`](Self::finished) name it by.
-    pub(crate) fn end_request(&mut self, arrival: Micros) -> u64 {
+    /// [`finished`](Self::finished) name it by. A read's span stages are
+    /// read off its foreground op chain `fg`, priced by `latency`, each
+    /// stage starting where the previous one ended.
+    pub(crate) fn end_request(
+        &mut self,
+        arrival: Micros,
+        fg: &[FlashOp],
+        latency: &ReadLatencyModel,
+    ) -> u64 {
+        let mut span = self.pending.take();
+        if let Some(pending) = span.as_mut() {
+            let mut offset_us = 0.0;
+            for op in fg {
+                op.for_each_span_stage(latency, |stage, duration| {
+                    pending.stages.push(StageTiming {
+                        stage,
+                        offset_us,
+                        duration_us: duration.as_f64(),
+                    });
+                    offset_us += duration.as_f64();
+                });
+            }
+        }
         self.deferred.push_back(DeferredRequest {
             arrival,
             start: arrival,
             response: None,
-            span: self.pending.take(),
+            span,
         });
         self.deferred_base + self.deferred.len() as u64 - 1
     }
@@ -913,7 +925,7 @@ mod tests {
         let keys: Vec<u64> = (0..3)
             .map(|i| {
                 o.begin_request(i, true, arrival(i).as_f64());
-                let key = o.end_request(arrival(i));
+                let key = o.end_request(arrival(i), &[], &ReadLatencyModel::paper_mlc());
                 o.started(key, arrival(i) + Micros(1.0));
                 key
             })

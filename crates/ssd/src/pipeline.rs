@@ -1,12 +1,14 @@
-//! Staged flash commands for the pipelined timing model.
+//! Flash operations and the stage chains they expand into.
 //!
-//! Under [`TimingModel::Pipelined`](crate::config::TimingModel) every
-//! flash operation is a short *chain* of stages, each occupying exactly
+//! The simulator's logical layer describes every request's device work
+//! as a list of [`FlashOp`]s, under both timing models, in reused
+//! buffers. Each op is a short *chain* of stages, each occupying exactly
 //! one hardware resource:
 //!
 //! * a host read that misses the buffer is `Sense(plane)` ×
 //!   (1 + extra sensing levels) → `Transfer(channel)` →
-//!   `Decode(controller slot)`;
+//!   `Decode(controller slot)`; a recovery-ladder re-read
+//!   ([`FlashOp::Retry`]) is staged the same way;
 //! * a program is `Transfer(channel)` → `Program(plane)`;
 //! * a GC/migration read is `Sense` → `Transfer` (the relocated page is
 //!   copied, not decoded by the host path);
@@ -14,12 +16,16 @@
 //! * buffer hits and host write ingest are a lone `Transfer` (the page
 //!   moves over the bus, the die is untouched).
 //!
-//! Stages of *different* chains overlap whenever their resources differ —
-//! a die can sense the next read while the channel ships the previous
-//! one and a decoder slot grinds on the one before that. Stage durations
-//! come from the same [`ReadLatencyModel`] the single-queue model
-//! charges, so the two models price identical work identically; only the
-//! concurrency differs.
+//! Under [`TimingModel::Pipelined`](crate::config::TimingModel) the
+//! scheduler runs these chains: stages of *different* chains overlap
+//! whenever their resources differ — a die can sense the next read while
+//! the channel ships the previous one and a decoder slot grinds on the
+//! one before that. The single-queue model charges each op its lumped
+//! price (`FlashOp::lumped`): the sum of the op's stages, with one
+//! exception. A program costs only its ISPP time there
+//! (`NandTiming::program`), not the chain's data transfer plus program.
+//! So the two models price every op but a program identically; beyond
+//! that, only the concurrency differs.
 
 use flash_model::Micros;
 use ldpc::ReadLatencyModel;
@@ -74,20 +80,34 @@ pub struct Stage {
     pub lpn: u64,
 }
 
-/// A flash operation as a schedulable unit. Produced by the simulator's
-/// logical layer (and by [`OpCost::flash_ops`](crate::ftl::OpCost::flash_ops)
-/// for FTL background work), consumed by the pipelined scheduler.
+/// A flash operation: one unit of a request's device work. Produced by
+/// the simulator's logical layer (and by
+/// [`OpCost::push_ops`](crate::ftl::OpCost::push_ops) for FTL
+/// background work) under both timing models; the pipelined scheduler
+/// runs its [stages](StageKind) and the single-queue model charges its
+/// lumped price.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlashOp {
     /// A host read served from flash: sense passes, transfer, decode.
     /// `decode` carries the full decoder-stage duration (base + measured
     /// or heuristic iterations + any wasted progressive-sensing decode
     /// passes + the ReduceCode cycle where applicable), precomputed by
-    /// the logical layer so pricing matches the single-queue model.
+    /// the logical layer.
     Read {
         /// Logical page (resource routing).
         lpn: u64,
         /// Extra soft sensing levels charged to sense and transfer.
+        extra_levels: u32,
+        /// Decoder-slot stage duration.
+        decode: Micros,
+    },
+    /// One rung of the read-recovery ladder: a re-read staged and priced
+    /// exactly like [`FlashOp::Read`], marked so a read span reports the
+    /// whole rung as one `"retry"` stage.
+    Retry {
+        /// Logical page (resource routing).
+        lpn: u64,
+        /// The rung's extra soft sensing levels.
         extra_levels: u32,
         /// Decoder-slot stage duration.
         decode: Micros,
@@ -98,8 +118,9 @@ pub enum FlashOp {
         /// Logical page (resource routing).
         lpn: u64,
     },
-    /// An internal copy read (GC relocation, AccessEval migration):
-    /// sense + transfer at zero extra levels, no host decode stage.
+    /// An internal copy read (GC relocation, AccessEval migration,
+    /// patrol scrub): sense + transfer at zero extra levels, no host
+    /// decode stage.
     GcRead {
         /// Logical page (resource routing).
         lpn: u64,
@@ -130,6 +151,7 @@ impl FlashOp {
     pub fn lpn(&self) -> u64 {
         match *self {
             FlashOp::Read { lpn, .. }
+            | FlashOp::Retry { lpn, .. }
             | FlashOp::HostTransfer { lpn }
             | FlashOp::GcRead { lpn }
             | FlashOp::Program { lpn }
@@ -138,40 +160,75 @@ impl FlashOp {
         }
     }
 
-    /// Appends the op's stage chain, priced by `latency`, to `out`.
-    fn push_stages(&self, latency: &ReadLatencyModel, out: &mut Vec<Stage>) {
+    /// Calls `f` with each stage of the op's chain, in chain order: the
+    /// resource class it occupies and for how long, priced by `latency`.
+    fn for_each_stage(&self, latency: &ReadLatencyModel, mut f: impl FnMut(StageKind, Micros)) {
         let t = &latency.timing;
-        let lpn = self.lpn();
-        let stage = |kind, duration| Stage {
-            kind,
-            duration,
-            lpn,
-        };
         match *self {
             FlashOp::Read {
                 extra_levels,
                 decode,
                 ..
-            } => out.extend([
-                stage(StageKind::Sense, t.sense_latency(extra_levels)),
-                stage(StageKind::Transfer, t.transfer_latency(extra_levels)),
-                stage(StageKind::Decode, decode),
-            ]),
-            FlashOp::HostTransfer { .. } => out.push(stage(StageKind::Transfer, t.page_transfer)),
-            FlashOp::GcRead { .. } => out.extend([
-                stage(StageKind::Sense, t.sense_latency(0)),
-                stage(StageKind::Transfer, t.transfer_latency(0)),
-            ]),
-            FlashOp::Program { .. } => out.extend([
-                stage(StageKind::Transfer, t.page_transfer),
-                stage(StageKind::Program, t.program),
-            ]),
-            FlashOp::Erase { .. } => out.push(stage(StageKind::Erase, t.erase)),
+            }
+            | FlashOp::Retry {
+                extra_levels,
+                decode,
+                ..
+            } => {
+                f(StageKind::Sense, t.sense_latency(extra_levels));
+                f(StageKind::Transfer, t.transfer_latency(extra_levels));
+                f(StageKind::Decode, decode);
+            }
+            FlashOp::HostTransfer { .. } => f(StageKind::Transfer, t.page_transfer),
+            FlashOp::GcRead { .. } => {
+                f(StageKind::Sense, t.sense_latency(0));
+                f(StageKind::Transfer, t.transfer_latency(0));
+            }
+            FlashOp::Program { .. } => {
+                f(StageKind::Transfer, t.page_transfer);
+                f(StageKind::Program, t.program);
+            }
+            FlashOp::Erase { .. } => f(StageKind::Erase, t.erase),
             // A die reset occupies the plane like a (long) sense would:
             // the whole die is unavailable for array operations.
-            FlashOp::DieReset { duration, .. } => out.push(stage(StageKind::Sense, duration)),
+            FlashOp::DieReset { duration, .. } => f(StageKind::Sense, duration),
         }
     }
+
+    /// The op's price under the single-queue model: the sum of its
+    /// stages, except that a program is charged its ISPP time alone —
+    /// the lumped model has no bus stage for data going into the die.
+    pub(crate) fn lumped(&self, latency: &ReadLatencyModel) -> Micros {
+        if let FlashOp::Program { .. } = self {
+            return latency.timing.program;
+        }
+        let mut total = Micros::ZERO;
+        self.for_each_stage(latency, |_, duration| total += duration);
+        total
+    }
+
+    /// Calls `f` with each stage the op contributes to a read span, as a
+    /// label and a duration: a retry rung is one `"retry"` stage at its
+    /// lumped price, a die reset one `"die_reset"` stage, and every other
+    /// op its chain stages under their [`StageKind::label`].
+    pub(crate) fn for_each_span_stage(
+        &self,
+        latency: &ReadLatencyModel,
+        mut f: impl FnMut(&'static str, Micros),
+    ) {
+        match *self {
+            FlashOp::Retry { .. } => f("retry", self.lumped(latency)),
+            FlashOp::DieReset { duration, .. } => f("die_reset", duration),
+            _ => self.for_each_stage(latency, |kind, duration| f(kind.label(), duration)),
+        }
+    }
+}
+
+/// The single-queue price of a run of ops: their [`FlashOp::lumped`]
+/// prices summed in order.
+pub(crate) fn lumped_total(ops: &[FlashOp], latency: &ReadLatencyModel) -> Micros {
+    ops.iter()
+        .fold(Micros::ZERO, |total, op| total + op.lumped(latency))
 }
 
 /// Expands a slice of ops into one serial stage chain, replacing the
@@ -179,7 +236,14 @@ impl FlashOp {
 pub fn expand_ops(ops: &[FlashOp], latency: &ReadLatencyModel, out: &mut Vec<Stage>) {
     out.clear();
     for op in ops {
-        op.push_stages(latency, out);
+        let lpn = op.lpn();
+        op.for_each_stage(latency, |kind, duration| {
+            out.push(Stage {
+                kind,
+                duration,
+                lpn,
+            });
+        });
     }
 }
 
@@ -194,7 +258,7 @@ mod tests {
     impl FlashOp {
         fn stages(&self, latency: &ReadLatencyModel) -> Vec<Stage> {
             let mut stages = Vec::new();
-            self.push_stages(latency, &mut stages);
+            expand_ops(&[*self], latency, &mut stages);
             stages
         }
     }
@@ -287,6 +351,43 @@ mod tests {
         assert_eq!(stages[0].lpn, 1);
         assert_eq!(stages[2].lpn, 2);
         assert_eq!(stages[4].kind, StageKind::Erase);
+    }
+
+    #[test]
+    fn lumped_price_is_the_stage_sum_except_a_programs_transfer() {
+        let m = model();
+        let decode = Micros(7.5);
+        let every_kind = [
+            FlashOp::Read {
+                lpn: 1,
+                extra_levels: 3,
+                decode,
+            },
+            FlashOp::Retry {
+                lpn: 1,
+                extra_levels: 3,
+                decode,
+            },
+            FlashOp::HostTransfer { lpn: 1 },
+            FlashOp::GcRead { lpn: 1 },
+            FlashOp::Program { lpn: 1 },
+            FlashOp::Erase { lpn: 1 },
+            FlashOp::DieReset {
+                lpn: 1,
+                duration: Micros(2000.0),
+            },
+        ];
+        for op in every_kind {
+            let sum: Micros = op.stages(&m).iter().map(|s| s.duration).sum();
+            let expected = match op {
+                FlashOp::Program { .. } => sum - m.timing.page_transfer,
+                _ => sum,
+            };
+            assert_eq!(op.lumped(&m), expected, "{op:?}");
+        }
+        assert_eq!(FlashOp::Program { lpn: 1 }.lumped(&m), m.timing.program);
+        // A retry rung runs the same stages as the read it repeats.
+        assert_eq!(every_kind[0].stages(&m), every_kind[1].stages(&m));
     }
 
     #[test]

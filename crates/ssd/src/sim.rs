@@ -69,7 +69,7 @@ use crate::device::ReliabilityState;
 use crate::faults::{CrashPlan, CrashTrigger, FaultState};
 use crate::ftl::{FtlError, JournalRecord, OpCost, PageMapFtl, RecoveryReport, TornPage};
 use crate::obs::SimObserver;
-use crate::pipeline::FlashOp;
+use crate::pipeline::{lumped_total, FlashOp};
 use crate::recovery;
 use crate::recovery::{config_fingerprint, DeviceImage, ImageError};
 use crate::scenario::EnvironmentState;
@@ -155,15 +155,8 @@ pub struct CrashCut {
     pub at_request: u64,
 }
 
-/// What the logical layer decided one page access costs: lumped
-/// foreground/background time.
-#[derive(Debug, Default)]
-struct PageCharge {
-    fg: Micros,
-    bg: Micros,
-}
-
-/// A whole host request's lumped cost.
+/// A whole host request's lumped cost: its op chains priced by the
+/// single-queue model.
 #[derive(Debug)]
 struct RequestPlan {
     fg: Micros,
@@ -171,22 +164,23 @@ struct RequestPlan {
     is_read: bool,
 }
 
-/// One request's foreground and background op chains for the pipelined
-/// model. The serving loop reuses one pair of buffers across requests;
-/// under the single-queue model they stay empty, so the hot path
-/// allocates nothing.
+/// One request's foreground and background op chains: the one
+/// description of its device work under both timing models. The
+/// single-queue model prices them ([`lumped_total`]), the pipelined
+/// model schedules them, and a read's span stages are read off the
+/// foreground chain. The serving loop reuses one pair of buffers across
+/// requests, so the hot path allocates nothing once they have grown.
 #[derive(Debug, Default)]
 struct OpChains {
     fg: Vec<FlashOp>,
     bg: Vec<FlashOp>,
 }
 
-/// Scheme-resolved cost of one flash read: the lumped foreground charge,
-/// the sensing levels actually charged, and the decoder-stage duration
-/// (including wasted progressive-sensing decode passes).
+/// Scheme-resolved cost of one flash read: the sensing levels actually
+/// charged, the decoder-stage duration (including wasted
+/// progressive-sensing decode passes) and the decoder iterations.
 #[derive(Debug, Clone, Copy)]
 struct ReadPlan {
-    fg: Micros,
     levels: u32,
     decode: Micros,
     iterations: u32,
@@ -468,11 +462,6 @@ impl SsdSimulator {
         }
     }
 
-    /// `true` when the pipelined model runs (op chains must be built).
-    fn pipelined(&self) -> bool {
-        self.config.timing_model == TimingModel::Pipelined
-    }
-
     /// Arms (or clears) a sudden-power-off plan. While armed, serving
     /// stops with [`SimError::PowerLoss`] when the trigger fires and
     /// [`crash_cut`](Self::crash_cut) reports where the mapping journal
@@ -734,7 +723,8 @@ impl SsdSimulator {
         source: &mut S,
         options: &ServeOptions,
     ) -> Result<(), SimError> {
-        let mut scheduler = self.pipelined().then(|| Scheduler::new(&self.config));
+        let mut scheduler = (self.config.timing_model == TimingModel::Pipelined)
+            .then(|| Scheduler::new(&self.config));
         // Admission runs on a copy of the lumped clock that only the
         // single-queue model keeps: under the pipelined model the
         // device's own horizons — and so its checkpoint images — never
@@ -852,7 +842,10 @@ impl SsdSimulator {
                 tenant,
                 arrival,
                 is_read: plan.is_read,
-                obs_key: self.obs.as_mut().map_or(0, |o| o.end_request(arrival)),
+                obs_key: self
+                    .obs
+                    .as_mut()
+                    .map_or(0, |o| o.end_request(arrival, &ops.fg, &self.config.latency)),
             };
             match scheduler.as_deref_mut() {
                 None => {
@@ -905,11 +898,13 @@ impl SsdSimulator {
     }
 
     /// Runs one request through the logical layer (buffer, FTL, wear,
-    /// AccessEval), updating every operation counter and returning the
-    /// request's cost plan; under the pipelined model `ops` is refilled
-    /// with the request's op chains. Timing-model independent: decisions
-    /// depend only on the order requests are presented, which both models
-    /// keep equal to trace order.
+    /// AccessEval), updating every operation counter, refilling `ops`
+    /// with the request's op chains and returning their lumped price.
+    /// Each page's slice of a chain is priced on its own and the page
+    /// totals are added into the request, as is the patrol-scrub slice.
+    /// Timing-model independent: decisions depend only on the order
+    /// requests are presented, which both models keep equal to trace
+    /// order.
     fn serve_logical(
         &mut self,
         request: &IoRequest,
@@ -925,14 +920,16 @@ impl SsdSimulator {
         if let Some(o) = self.obs.as_mut() {
             o.begin_request(request.lpn, plan.is_read, request.arrival_us);
         }
+        let latency = self.config.latency;
         for lpn in request.lpns() {
             let lpn = lpn % self.ftl.logical_pages();
-            let page = match request.op {
+            let (fg, bg) = (ops.fg.len(), ops.bg.len());
+            match request.op {
                 IoOp::Read => self.read_page(lpn, ops)?,
                 IoOp::Write => self.write_page(lpn, ops)?,
-            };
-            plan.fg += page.fg;
-            plan.bg += page.bg;
+            }
+            plan.fg += lumped_total(&ops.fg[fg..], &latency);
+            plan.bg += lumped_total(&ops.bg[bg..], &latency);
         }
         match request.op {
             IoOp::Read => self.stats.host_reads += 1,
@@ -944,7 +941,9 @@ impl SsdSimulator {
             self.scrub_countdown += 1;
             if self.scrub_countdown >= self.config.faults.scrub_interval {
                 self.scrub_countdown = 0;
-                plan.bg += self.patrol_scrub(&mut ops.bg)?;
+                let bg = ops.bg.len();
+                self.patrol_scrub(&mut ops.bg)?;
+                plan.bg += lumped_total(&ops.bg[bg..], &latency);
             }
         }
         Ok(plan)
@@ -979,19 +978,12 @@ impl SsdSimulator {
     }
 
     /// Host read of one page.
-    fn read_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<PageCharge, SimError> {
-        let mut charge = PageCharge::default();
+    fn read_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<(), SimError> {
         if self.buffer.contains(lpn) {
             self.buffer.touch(lpn);
             self.stats.buffer_read_hits += 1;
-            charge.fg = self.config.latency.timing.page_transfer;
-            if let Some(o) = self.obs.as_mut() {
-                o.span_stage("transfer", charge.fg);
-            }
-            if self.pipelined() {
-                ops.fg.push(FlashOp::HostTransfer { lpn });
-            }
-            return Ok(charge);
+            ops.fg.push(FlashOp::HostTransfer { lpn });
+            return Ok(());
         }
         self.stats.flash_reads += 1;
         let mode = self
@@ -1015,24 +1007,20 @@ impl SsdSimulator {
                 // migrations.
                 let _ = ctrl.on_read(lpn, required, self.config.schedule.max_extra_levels());
             }
-            let cycle = self.config.latency.timing.reduce_code_cycle;
-            let plan = if required == 0 {
+            // ReduceCode adds its one-cycle decode to the LDPC pass; a
+            // hard read of a reduced page converges in one iteration.
+            let mut plan = if required == 0 {
                 ReadPlan {
-                    fg: self.config.latency.reduced_read_latency(),
                     levels: 0,
-                    decode: self.config.latency.decode_latency(1) + cycle,
+                    decode: self.config.latency.decode_latency(1),
                     iterations: 1,
                 }
             } else {
-                let plan = self.read_plan(required, ber);
-                ReadPlan {
-                    fg: plan.fg + cycle,
-                    decode: plan.decode + cycle,
-                    ..plan
-                }
+                self.read_plan(required, ber)
             };
-            self.sensed_read(lpn, ber, plan, &mut charge, ops);
-            return Ok(charge);
+            plan.decode += self.config.latency.timing.reduce_code_cycle;
+            self.sensed_read(lpn, ber, plan, ops);
+            return Ok(());
         }
 
         let ber = self.reliability.ber(CellMode::Normal, pe, age);
@@ -1041,7 +1029,7 @@ impl SsdSimulator {
         let plan = self.read_plan(required, ber);
         let slot = required.min(self.config.schedule.max_extra_levels()) as usize;
         self.stats.reads_by_sensing_level[slot] += 1;
-        self.sensed_read(lpn, ber, plan, &mut charge, ops);
+        self.sensed_read(lpn, ber, plan, ops);
 
         // AccessEval: evaluate the read and apply any migrations as
         // background work.
@@ -1050,43 +1038,29 @@ impl SsdSimulator {
             None => Vec::new(),
         };
         for migration in migrations {
-            charge.bg += self.apply_migration(migration, &mut ops.bg)?;
+            self.apply_migration(migration, &mut ops.bg)?;
         }
         if let Some(ctrl) = self.access_eval.as_ref() {
             let s = ctrl.stats();
             self.stats.promotions = s.promotions;
             self.stats.demotions = s.demotions;
         }
-        Ok(charge)
+        Ok(())
     }
 
-    /// The tail every sensed (non-buffered) read shares: charges
-    /// `plan.fg`, records the observer's sense/transfer/decode spans,
-    /// queues the pipelined `FlashOp::Read` and applies read faults.
-    fn sensed_read(
-        &mut self,
-        lpn: u64,
-        ber: f64,
-        plan: ReadPlan,
-        charge: &mut PageCharge,
-        ops: &mut OpChains,
-    ) {
-        charge.fg = plan.fg;
+    /// The tail every sensed (non-buffered) read shares: records the
+    /// observer's sensing depth, queues the `FlashOp::Read` and applies
+    /// read faults.
+    fn sensed_read(&mut self, lpn: u64, ber: f64, plan: ReadPlan, ops: &mut OpChains) {
         if let Some(o) = self.obs.as_mut() {
-            let t = &self.config.latency.timing;
-            o.span_stage("sense", t.sense_latency(plan.levels));
-            o.span_stage("transfer", t.transfer_latency(plan.levels));
-            o.span_stage("decode", plan.decode);
             o.flash_read(plan.levels, plan.iterations);
         }
-        if self.pipelined() {
-            ops.fg.push(FlashOp::Read {
-                lpn,
-                extra_levels: plan.levels,
-                decode: plan.decode,
-            });
-        }
-        self.apply_read_faults(lpn, ber, plan.levels, charge, ops);
+        ops.fg.push(FlashOp::Read {
+            lpn,
+            extra_levels: plan.levels,
+            decode: plan.decode,
+        });
+        self.apply_read_faults(lpn, ber, plan.levels, ops);
     }
 
     /// Expected decoder iterations for a read sensed with `levels` extra
@@ -1100,8 +1074,8 @@ impl SsdSimulator {
     }
 
     /// Scheme-specific cost of a normal-page read needing `required`
-    /// extra sensing levels at raw BER `ber`: the lumped latency plus the
-    /// (levels, decode-stage) split the pipelined model schedules.
+    /// extra sensing levels at raw BER `ber`: the sensing levels and the
+    /// decoder-stage duration its `FlashOp::Read` carries.
     fn read_plan(&mut self, required: u32, ber: f64) -> ReadPlan {
         match self.config.scheme {
             Scheme::Baseline => {
@@ -1111,7 +1085,6 @@ impl SsdSimulator {
                 let levels = self.config.schedule.required_levels(worst);
                 let iterations = self.decode_iterations(levels, ber);
                 ReadPlan {
-                    fg: self.config.latency.read_latency(levels, iterations),
                     levels,
                     decode: self.config.latency.decode_latency(iterations),
                     iterations,
@@ -1125,15 +1098,10 @@ impl SsdSimulator {
                 // read at `required` levels; each failed attempt also
                 // pays a decode pass, which lands on the decoder stage.
                 let iterations = self.decode_iterations(required, ber);
-                let latency = &self.config.latency;
-                let one_shot = latency.read_latency(required, iterations);
-                let wasted_decodes =
-                    latency.decode_base + latency.decode_per_iteration * iterations as f64;
-                let wasted = wasted_decodes * required as f64 * 0.5;
+                let decode = self.config.latency.decode_latency(iterations);
                 ReadPlan {
-                    fg: one_shot + wasted,
                     levels: required,
-                    decode: latency.decode_latency(iterations) + wasted,
+                    decode: decode + decode * required as f64 * 0.5,
                     iterations,
                 }
             }
@@ -1141,47 +1109,32 @@ impl SsdSimulator {
     }
 
     /// Host write of one page via the write-back buffer.
-    fn write_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<PageCharge, SimError> {
+    fn write_page(&mut self, lpn: u64, ops: &mut OpChains) -> Result<(), SimError> {
         self.host_pages_written += 1;
         self.reliability.record_write(lpn);
-        let mut charge = PageCharge {
-            fg: self.config.latency.timing.page_transfer,
-            ..PageCharge::default()
-        };
-        if self.pipelined() {
-            ops.fg.push(FlashOp::HostTransfer { lpn });
-        }
+        ops.fg.push(FlashOp::HostTransfer { lpn });
         if let Some(evicted) = self.buffer.write(lpn) {
-            charge.bg += self.flush_page(evicted, &mut ops.bg)?;
+            self.flush_page(evicted, &mut ops.bg)?;
         }
-        Ok(charge)
+        Ok(())
     }
 
     /// Programs a buffered page to flash (eviction or shutdown flush).
-    fn flush_page(&mut self, lpn: u64, ops: &mut Vec<FlashOp>) -> Result<Micros, SimError> {
+    fn flush_page(&mut self, lpn: u64, ops: &mut Vec<FlashOp>) -> Result<(), SimError> {
         let mode = self.write_mode(lpn);
         let cost = self.ftl.write(lpn, mode)?;
         self.environment_program(lpn);
-        let mut time = self.account(cost, lpn, ops);
-        time += self.apply_program_fault(lpn, ops)?;
-        Ok(time)
+        self.account(cost, lpn, ops);
+        self.apply_program_fault(lpn, ops)
     }
 
     /// Resolves the fault draws of one flash read: a possible transient
     /// die fault (cleared by a reset that stalls the plane), then the
     /// frame-decode outcome. A failed decode climbs the
-    /// [`crate::recovery`] ladder; every attempted rung is priced like a
-    /// first-class read at that rung's sensing depth — it extends the
-    /// foreground charge and, under the pipelined model, occupies die,
-    /// channel and decoder resources. No-op with faults disabled.
-    fn apply_read_faults(
-        &mut self,
-        lpn: u64,
-        ber: f64,
-        levels: u32,
-        charge: &mut PageCharge,
-        ops: &mut OpChains,
-    ) {
+    /// [`crate::recovery`] ladder; every attempted rung is a
+    /// [`FlashOp::Retry`] staged and priced like a first-class read at
+    /// that rung's sensing depth. No-op with faults disabled.
+    fn apply_read_faults(&mut self, lpn: u64, ber: f64, levels: u32, ops: &mut OpChains) {
         // Correlated clusters make frames inside the struck region harder
         // to decode than their (already cluster-elevated) BER alone says.
         let env_fer = self
@@ -1199,18 +1152,14 @@ impl SsdSimulator {
         if die_fault {
             self.stats.die_resets += 1;
             let reset = Micros(cfg.die_reset_us);
-            charge.fg += reset;
             self.stats.recovery_latency_us += reset.as_f64();
             if let Some(o) = self.obs.as_mut() {
-                o.span_stage("die_reset", reset);
                 o.die_reset(lpn);
             }
-            if self.pipelined() {
-                ops.fg.push(FlashOp::DieReset {
-                    lpn,
-                    duration: reset,
-                });
-            }
+            ops.fg.push(FlashOp::DieReset {
+                lpn,
+                duration: reset,
+            });
         }
         if u >= fer0 {
             self.stats.record_retry_depth(0);
@@ -1230,21 +1179,15 @@ impl SsdSimulator {
         );
         for rung in &outcome.rungs {
             let iterations = self.decode_iterations(rung.levels, ber);
-            let attempt = self.config.latency.read_latency(rung.levels, iterations);
-            charge.fg += attempt;
-            self.stats.recovery_latency_us += attempt.as_f64();
+            let attempt = FlashOp::Retry {
+                lpn,
+                extra_levels: rung.levels,
+                decode: self.config.latency.decode_latency(iterations),
+            };
+            self.stats.recovery_latency_us += attempt.lumped(&self.config.latency).as_f64();
             self.stats.flash_reads += 1;
             self.stats.retry_reads += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.span_stage("retry", attempt);
-            }
-            if self.pipelined() {
-                ops.fg.push(FlashOp::Read {
-                    lpn,
-                    extra_levels: rung.levels,
-                    decode: self.config.latency.decode_latency(iterations),
-                });
-            }
+            ops.fg.push(attempt);
         }
         self.stats.record_retry_depth(outcome.depth());
         if let Some(o) = self.obs.as_mut() {
@@ -1261,34 +1204,28 @@ impl SsdSimulator {
     /// failure burns the failed ISPP attempt and retires the block as
     /// grown-bad, relocating its live pages and shrinking usable
     /// capacity. No-op with faults disabled.
-    fn apply_program_fault(
-        &mut self,
-        lpn: u64,
-        ops: &mut Vec<FlashOp>,
-    ) -> Result<Micros, SimError> {
+    fn apply_program_fault(&mut self, lpn: u64, ops: &mut Vec<FlashOp>) -> Result<(), SimError> {
         let Some(faults) = self.faults.as_mut() else {
-            return Ok(Micros::ZERO);
+            return Ok(());
         };
         let prob = faults.config().program_fail_prob;
         if faults.program_draw(lpn) >= prob {
-            return Ok(Micros::ZERO);
+            return Ok(());
         }
         self.stats.program_failures += 1;
         // The failed ISPP attempt itself burned a program pulse before
         // the status check flagged it.
-        let mut time = self.config.latency.timing.program;
+        let pulse = FlashOp::Program { lpn };
         self.stats.flash_programs += 1;
-        self.stats.recovery_latency_us += time.as_f64();
-        if self.pipelined() {
-            ops.push(FlashOp::Program { lpn });
-        }
+        self.stats.recovery_latency_us += pulse.lumped(&self.config.latency).as_f64();
+        ops.push(pulse);
         let Some((phys, _)) = self.ftl.placement(lpn) else {
-            return Ok(time);
+            return Ok(());
         };
         let cost = self.ftl.retire_block(phys.block)?;
         self.stats.retired_blocks += 1;
-        time += self.account(cost, lpn, ops);
-        Ok(time)
+        self.account(cost, lpn, ops);
+        Ok(())
     }
 
     /// One patrol-scrub visit: re-read every live page of the next
@@ -1296,7 +1233,7 @@ impl SsdSimulator {
     /// place, age reset) any page whose modeled retention BER has crossed
     /// the refresh threshold. Runs as background work, so scrub traffic
     /// competes with host I/O exactly like GC does.
-    fn patrol_scrub(&mut self, ops: &mut Vec<FlashOp>) -> Result<Micros, SimError> {
+    fn patrol_scrub(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), SimError> {
         let blocks = self.ftl.geometry().blocks();
         let mut target = None;
         for _ in 0..blocks {
@@ -1313,21 +1250,17 @@ impl SsdSimulator {
             break;
         }
         let Some((block, lpns)) = target else {
-            return Ok(Micros::ZERO);
+            return Ok(());
         };
         self.stats.scrub_runs += 1;
         let threshold = self.config.faults.scrub_refresh_ber;
-        let mut time = Micros::ZERO;
         let mut visit_reads = 0u32;
         let mut visit_refreshes = 0u32;
         for lpn in lpns {
             visit_reads += 1;
             self.stats.scrub_reads += 1;
             self.stats.flash_reads += 1;
-            time += self.config.latency.timing.read_transfer_latency(0);
-            if self.pipelined() {
-                ops.push(FlashOp::GcRead { lpn });
-            }
+            ops.push(FlashOp::GcRead { lpn });
             let Some((_, mode)) = self.ftl.placement(lpn) else {
                 continue;
             };
@@ -1343,13 +1276,13 @@ impl SsdSimulator {
                 self.reliability.refresh(lpn);
                 self.environment_program(lpn);
                 let cost = self.ftl.write(lpn, mode)?;
-                time += self.account(cost, lpn, ops);
+                self.account(cost, lpn, ops);
             }
         }
         if let Some(o) = self.obs.as_mut() {
             o.scrub(block.0 as u64, visit_reads, visit_refreshes);
         }
-        Ok(time)
+        Ok(())
     }
 
     /// Which mode a (re)written page should land in.
@@ -1382,13 +1315,13 @@ impl SsdSimulator {
         }
     }
 
-    /// Applies one AccessEval migration; returns its background cost and
-    /// appends its op chain to `ops` under the pipelined model.
+    /// Applies one AccessEval migration, appending its op chain to
+    /// `ops`.
     fn apply_migration(
         &mut self,
         migration: Migration,
         ops: &mut Vec<FlashOp>,
-    ) -> Result<Micros, SimError> {
+    ) -> Result<(), SimError> {
         let lpn = migration.lpn();
         let mode = match migration {
             Migration::PromoteToReduced { .. } => CellMode::Reduced,
@@ -1396,30 +1329,22 @@ impl SsdSimulator {
         };
         // Read the current copy, then rewrite it in the target mode.
         self.stats.flash_reads += 1;
-        if self.pipelined() {
-            ops.push(FlashOp::GcRead { lpn });
-        }
-        let read_cost = self.config.latency.timing.read_transfer_latency(0);
+        ops.push(FlashOp::GcRead { lpn });
         let cost = self.ftl.write(lpn, mode)?;
         self.environment_program(lpn);
-        Ok(read_cost + self.account(cost, lpn, ops))
+        self.account(cost, lpn, ops);
+        Ok(())
     }
 
-    /// Converts FTL op counts into device time, folds them into the
-    /// statistics, and (pipelined model) appends the matching op chain.
-    fn account(&mut self, cost: OpCost, lpn: u64, ops: &mut Vec<FlashOp>) -> Micros {
-        if self.pipelined() {
-            ops.extend(cost.flash_ops(lpn));
-        }
-        let t = &self.config.latency.timing;
+    /// Folds FTL op counts into the statistics and appends the matching
+    /// op chain to `ops`.
+    fn account(&mut self, cost: OpCost, lpn: u64, ops: &mut Vec<FlashOp>) {
+        cost.push_ops(lpn, ops);
         self.stats.flash_reads += cost.flash_reads;
         self.stats.flash_programs += cost.programs;
         self.stats.erases += cost.erases;
         self.stats.gc_runs += cost.gc_runs;
         self.stats.gc_migrated_pages += cost.gc_moved;
-        t.read_transfer_latency(0) * cost.flash_reads as f64
-            + t.program * cost.programs as f64
-            + t.erase * cost.erases as f64
     }
 
     /// Wear of the block holding `lpn` (base device wear plus simulated

@@ -42,15 +42,34 @@ fn unknown_scenario_is_a_parse_error_listing_valid_names() {
     }
 }
 
-#[test]
-fn zero_blocks_is_a_usage_error() {
-    let out = sim().args(["--blocks", "0"]).output().expect("binary runs");
+/// `flag 0` is a usage error (exit 2) whose message names the flag.
+fn assert_zero_is_a_usage_error(flag: &str) {
+    let out = sim().args([flag, "0"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-    assert!(
-        stderr.contains("--blocks"),
-        "stderr names the flag:\n{stderr}"
-    );
+    assert!(stderr.contains(flag), "stderr names the flag:\n{stderr}");
+}
+
+#[test]
+fn zero_blocks_is_a_usage_error() {
+    assert_zero_is_a_usage_error("--blocks");
+}
+
+// The config would clamp these to 1 while the report divided by the raw
+// flag (a pipelined `--decoders 0` run printed `util 0.0%`).
+#[test]
+fn zero_channels_is_a_usage_error() {
+    assert_zero_is_a_usage_error("--channels");
+}
+
+#[test]
+fn zero_dies_is_a_usage_error() {
+    assert_zero_is_a_usage_error("--dies");
+}
+
+#[test]
+fn zero_decoders_is_a_usage_error() {
+    assert_zero_is_a_usage_error("--decoders");
 }
 
 #[test]

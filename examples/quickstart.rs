@@ -55,7 +55,8 @@ fn main() {
     println!(
         "  reduced : {} levels -> read ≈ {}",
         reduced_levels,
-        latency.reduced_read_latency()
+        // ReduceCode's one-cycle decode on top of a hard read.
+        latency.read_latency(0, 1) + latency.timing.reduce_code_cycle
     );
 
     // --- 3. System-level: FlexLevel vs LDPC-in-SSD on an OLTP trace -----

@@ -11,8 +11,8 @@ use obs::{export, Recorder};
 use rand::{rngs::StdRng, SeedableRng};
 use reliability::mc;
 use ssd::{
-    OverloadPolicy, Scheme, ServeOptions, SimObserver, SimStats, SsdConfig, SsdSimulator,
-    StageKind, TenantQos, TimingModel,
+    OverloadPolicy, ScenarioSpec, Scheme, ServeOptions, SimObserver, SimStats, SsdConfig,
+    SsdSimulator, StageKind, TenantQos, TimingModel,
 };
 use workloads::{OpenLoopSource, TenantWorkload, Trace, WorkloadSpec};
 
@@ -402,4 +402,52 @@ fn assert_responses_match(stats: &SimStats, recorder: &Recorder, model: TimingMo
             model.label()
         );
     }
+}
+
+/// Under the single-queue model a read span's stages, read off the
+/// request's foreground op chain, account for its whole flash service
+/// time: `(start − arrival) + Σ stages == response`, each stage starting
+/// where the previous one ended. The hostile preset with a raised
+/// die-fault rate puts buffer hits, sensed and reduced reads, retry
+/// rungs and die resets into the spans of all four schemes.
+#[test]
+fn single_queue_spans_conserve_response_time_under_hostile() {
+    let trace = fixture_trace();
+    let spec = ScenarioSpec::find("hostile").expect("preset registered");
+    let mut labels = std::collections::BTreeSet::new();
+    let mut reduced_reads = 0;
+    for scheme in Scheme::ALL {
+        let mut config = spec.apply(config_for(scheme, TimingModel::SingleQueue));
+        config.faults = config.faults.with_die_fault_prob(2e-3);
+        let mut sim = SsdSimulator::new(config).with_observer(SimObserver::new(scheme, 0));
+        reduced_reads += sim
+            .run(&trace)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", scheme.label()))
+            .reduced_reads;
+        let recorder = sim.take_observer().expect("observer").into_recorder();
+        assert!(
+            !recorder.spans.spans().is_empty(),
+            "{}: no spans",
+            scheme.label()
+        );
+        for span in recorder.spans.spans() {
+            let mut service = 0.0;
+            for stage in &span.stages {
+                assert_eq!(stage.offset_us, service, "span {}", span.seq);
+                service += stage.duration_us;
+                labels.insert(stage.stage);
+            }
+            let total = (span.start_us - span.arrival_us) + service;
+            assert!(
+                (total - span.response_us).abs() <= 1e-9 * span.response_us,
+                "{} span {}: {total} != {}",
+                scheme.label(),
+                span.seq,
+                span.response_us
+            );
+        }
+    }
+    let expected = ["decode", "die_reset", "retry", "sense", "transfer"];
+    assert_eq!(labels.into_iter().collect::<Vec<_>>(), expected);
+    assert!(reduced_reads > 0, "no reduced reads");
 }
