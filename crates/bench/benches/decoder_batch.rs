@@ -3,7 +3,7 @@
 //! (i8 SoA vs bit-plane, flooding vs layered) across batch widths, on
 //! the paper's rate-8/9 code.
 //!
-//! Prints criterion-style timings and then writes a machine-readable
+//! Prints a codewords/sec matrix and writes a machine-readable
 //! `BENCH_decoder.json` (hand-formatted — the build has no serde_json)
 //! so the decoder's perf trajectory can be tracked PR over PR. The
 //! headline numbers are codewords/sec of the batched quantized decoder
@@ -18,7 +18,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use ldpc::{
     encode, random_info, DecodeKernel, DecoderGraph, DecoderWorkspace, LlrQuantizer, MinSumDecoder,
     QcLdpcCode, QuantizedMinSumDecoder, Schedule,
@@ -277,61 +276,15 @@ fn write_json(path: &str, quick: bool, code: &QcLdpcCode, results: &[PointResult
     println!("\nwrote {path}");
 }
 
-fn bench_decoder_batch(c: &mut Criterion) {
+fn main() {
     let code = QcLdpcCode::paper_code();
     let graph = DecoderGraph::cached(&code);
-    let (frames, reps, samples) = if quick_mode() {
-        (64, 2, 3)
-    } else {
-        (128, 3, 5)
-    };
+    let (frames, reps) = if quick_mode() { (64, 2) } else { (128, 3) };
     let workloads = [
         build_workload(&code, "clean", 0.0, frames),
         build_workload(&code, "ber_8e-3", 8e-3, frames),
     ];
 
-    // Criterion view: one timed sweep of all frames per engine per point;
-    // the kernel matrix is shown at its widest batch.
-    let mut group = c.benchmark_group("decoder_batch");
-    group.sample_size(samples);
-    let f32_decoder = MinSumDecoder::new();
-    let mut ws = DecoderWorkspace::new();
-    let n = code.codeword_bits();
-    for w in &workloads {
-        group.bench_function(BenchmarkId::new("scalar_f32", w.label), |b| {
-            b.iter(|| {
-                for llrs in &w.f32_frames {
-                    std::hint::black_box(f32_decoder.decode_with(&graph, llrs, &mut ws).iterations);
-                }
-            })
-        });
-        for &(engine, schedule, kernel) in &ENGINES {
-            let decoder = QuantizedMinSumDecoder::new()
-                .with_schedule(schedule)
-                .with_kernel(kernel);
-            let groups = &w
-                .q_batches
-                .iter()
-                .find(|(b, _)| *b == 64)
-                .expect("batch 64 packed")
-                .1;
-            group.bench_function(
-                BenchmarkId::new(format!("{engine}_batch64"), w.label),
-                |b| {
-                    b.iter(|| {
-                        for soa in groups.iter() {
-                            let lanes = soa.len() / n;
-                            let out = decoder.decode_batch(&graph, soa, lanes, &mut ws);
-                            std::hint::black_box(out.iterations(lanes - 1));
-                        }
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    // Machine-readable view.
     let results: Vec<PointResult> = workloads
         .iter()
         .map(|w| measure_point(&code, &graph, w, reps))
@@ -362,10 +315,4 @@ fn bench_decoder_batch(c: &mut Criterion) {
     let path =
         std::env::var("BENCH_DECODER_OUT").unwrap_or_else(|_| "BENCH_decoder.json".to_string());
     write_json(&path, quick_mode(), &code, &results);
-}
-
-criterion_group!(benches, bench_decoder_batch);
-
-fn main() {
-    benches();
 }

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin exp_fig6b`
 
-use bench::{run_scheme, scaled_suite};
+use bench::{run_matrix, scaled_suite};
 use ssd::Scheme;
 
 fn main() {
@@ -17,14 +17,13 @@ fn main() {
     println!("{:>6} {:>22} {:>22}", "P/E", "mean reduction", "paper");
     let paper = [(4000u32, "21%"), (5000, "~27%"), (6000, "33%")];
     for (pe, paper_label) in paper {
+        // All 7 traces × 2 schemes at this wear point run concurrently;
+        // results are identical to the serial loop for any thread count.
+        let matrix = run_matrix(&traces, &[Scheme::LdpcInSsd, Scheme::FlexLevel], pe, 0);
         let mut total = 0.0;
-        for trace in &traces {
-            let ldpc = run_scheme(Scheme::LdpcInSsd, trace, pe)
-                .mean_response()
-                .as_f64();
-            let flex = run_scheme(Scheme::FlexLevel, trace, pe)
-                .mean_response()
-                .as_f64();
+        for row in &matrix {
+            let ldpc = row[0].mean_response().as_f64();
+            let flex = row[1].mean_response().as_f64();
             total += 1.0 - flex / ldpc;
         }
         let mean = total / traces.len() as f64;

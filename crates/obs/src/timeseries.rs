@@ -135,11 +135,6 @@ impl SeriesSampler {
         &self.counters
     }
 
-    /// Gauge column names, in vector order.
-    pub fn gauge_names(&self) -> &[String] {
-        &self.gauges
-    }
-
     /// Windows emitted so far.
     pub fn snapshots(&self) -> &[SeriesSnapshot] {
         &self.snapshots

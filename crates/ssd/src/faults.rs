@@ -315,17 +315,6 @@ impl FaultState {
     }
 }
 
-/// When a [`CrashPlan`] cuts power.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CrashTrigger {
-    /// Cut after the request with this zero-based logical index is
-    /// served (the crash lands somewhere inside its journal records).
-    OpIndex(u64),
-    /// Cut at the first request whose arrival time reaches this many
-    /// simulated microseconds.
-    SimTimeUs(f64),
-}
-
 /// A seeded, deterministic sudden-power-off plan.
 ///
 /// The *where-exactly* of the cut — which journal record is the last to
@@ -338,8 +327,10 @@ pub enum CrashTrigger {
 pub struct CrashPlan {
     /// Seed of the cut-point derivation stream.
     pub seed: u64,
-    /// When power is lost.
-    pub trigger: CrashTrigger,
+    /// Power is cut after the request with this zero-based logical
+    /// index is served (the crash lands somewhere inside its journal
+    /// records).
+    pub at_request: u64,
 }
 
 impl CrashPlan {
@@ -347,15 +338,7 @@ impl CrashPlan {
     pub fn at_request(seed: u64, index: u64) -> CrashPlan {
         CrashPlan {
             seed,
-            trigger: CrashTrigger::OpIndex(index),
-        }
-    }
-
-    /// Plan that cuts power at `us` simulated microseconds.
-    pub fn at_time_us(seed: u64, us: f64) -> CrashPlan {
-        CrashPlan {
-            seed,
-            trigger: CrashTrigger::SimTimeUs(us),
+            at_request: index,
         }
     }
 

@@ -48,7 +48,7 @@ pub use buffer::WriteBuffer;
 pub use config::{Scheme, SsdConfig, TimingModel};
 pub use device::{ReliabilityState, ResourcePool};
 pub use events::{Event, EventQueue};
-pub use faults::{CrashPlan, CrashTrigger, FaultConfig, FaultState};
+pub use faults::{CrashPlan, FaultConfig, FaultState};
 pub use ftl::{
     BlockImage, FtlError, FtlImage, GcPolicy, JournalRecord, OpCost, PageMapFtl, RecoveryReport,
     TornPage,

@@ -66,7 +66,7 @@ use workloads::{IoOp, IoRequest, RequestSource, TenantRequest, Trace, TraceSourc
 use crate::buffer::WriteBuffer;
 use crate::config::{Scheme, SsdConfig, TimingModel};
 use crate::device::ReliabilityState;
-use crate::faults::{CrashPlan, CrashTrigger, FaultState};
+use crate::faults::{CrashPlan, FaultState};
 use crate::ftl::{FtlError, JournalRecord, OpCost, PageMapFtl, RecoveryReport, TornPage};
 use crate::obs::SimObserver;
 use crate::pipeline::{lumped_total, FlashOp};
@@ -463,9 +463,9 @@ impl SsdSimulator {
     }
 
     /// Arms (or clears) a sudden-power-off plan. While armed, serving
-    /// stops with [`SimError::PowerLoss`] when the trigger fires and
-    /// [`crash_cut`](Self::crash_cut) reports where the mapping journal
-    /// was cut.
+    /// stops with [`SimError::PowerLoss`] once the planned request is
+    /// served and [`crash_cut`](Self::crash_cut) reports where the
+    /// mapping journal was cut.
     pub fn set_crash_plan(&mut self, plan: Option<CrashPlan>) {
         self.crash_plan = plan;
     }
@@ -483,13 +483,9 @@ impl SsdSimulator {
     /// Evaluates the armed crash plan against the request just served;
     /// on fire, derives the seeded journal cut and returns the error the
     /// serving loop must propagate.
-    fn check_crash(&mut self, at: u64, arrival_us: f64, records_before: usize) -> Option<SimError> {
+    fn check_crash(&mut self, at: u64, records_before: usize) -> Option<SimError> {
         let plan = self.crash_plan?;
-        let fired = match plan.trigger {
-            CrashTrigger::OpIndex(index) => at == index,
-            CrashTrigger::SimTimeUs(t) => arrival_us >= t,
-        };
-        if !fired {
+        if at != plan.at_request {
             return None;
         }
         let records_after = self.ftl.journal().map_or(0, <[_]>::len);
@@ -855,7 +851,7 @@ impl SsdSimulator {
                 Some(s) => s.admit(pending, submit, &ops.fg, &ops.bg, &self.config.latency),
             }
             self.ftl.record_commit(at);
-            if let Some(err) = self.check_crash(at, request.arrival_us, records_before) {
+            if let Some(err) = self.check_crash(at, records_before) {
                 return Err(err);
             }
         }

@@ -1,6 +1,7 @@
 //! CLI contract of the scenario engine: `--list-scenarios` enumerates
 //! the registry, parse errors (unknown preset) exit 2 with the valid
-//! names listed, and simulation failures exit 1 — two distinct failure
+//! names listed, simulation failures and damaged images exit 1, and a
+//! crash image whose recovery audit fails exits 3 — distinct failure
 //! channels scripts can branch on.
 
 use std::process::Command;
@@ -186,4 +187,19 @@ fn restore_rejects_a_written_block_in_the_free_pool() {
     });
     assert_eq!(code, Some(1), "typed image error:\n{stderr}");
     assert!(stderr.contains("is not erased"), "{stderr}");
+}
+
+#[test]
+fn failed_crash_recovery_exits_three() {
+    // The image decodes and fits the config, but its journal erases a
+    // block past the end of the device: replay fails its audit, which
+    // is the distinct exit 3, not a typed image error.
+    let (code, stderr) = restore_forged("journal", |image| {
+        image.journal.push(ssd::JournalRecord::Erase {
+            block: flash_model::BlockId(u32::MAX),
+        });
+        image.crashed_at = Some(image.request_cursor);
+    });
+    assert_eq!(code, Some(3), "failed recovery audit:\n{stderr}");
+    assert!(stderr.contains("crash recovery failed"), "{stderr}");
 }

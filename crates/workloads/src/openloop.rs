@@ -330,11 +330,6 @@ impl OpenLoopSource {
             footprint_pages,
         }
     }
-
-    /// Total requests this source will emit across all tenants.
-    pub fn total_requests(&self) -> u64 {
-        self.streams.iter().map(|s| s.profile.requests).sum()
-    }
 }
 
 impl RequestSource for OpenLoopSource {
