@@ -1,4 +1,4 @@
-//! Zero-overhead observability for the FlexLevel simulator.
+//! Deterministic observability for the FlexLevel simulator.
 //!
 //! Three pieces, all deterministic by construction:
 //!

@@ -69,8 +69,9 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// How a read ultimately completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a read ultimately completed. Variants are ordered by severity, so
+/// a multi-page read reports the `max` of its pages' outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanOutcome {
     /// Served from the write buffer; no flash access.
     BufferHit,

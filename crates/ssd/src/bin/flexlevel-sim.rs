@@ -151,7 +151,8 @@ Observability:
   --help, -h            print this text and exit
 
 Exit codes: 0 ok, 1 simulation/IO/decode failure, 2 usage,
-            3 crash image fails recovery (journal replay or invariant audit)";
+            3 crash image fails recovery (journal replay or invariant audit);
+            an image that does not restore exits 1 before any replay";
 
 /// The value after `flag`, parsed as `T`; a missing or malformed value
 /// is a usage error naming the flag.
@@ -925,14 +926,16 @@ fn calibrate_iteration_profile(args: &Args) -> IterationProfile {
 /// `--crash-at`, `--restore`); returns the process exit code.
 ///
 /// Exit codes: `0` success, `1` simulation/IO/decode failure, `3` a
-/// crash image whose recovered state fails the invariant audit.
+/// crash image whose recovered state fails the invariant audit. The
+/// image is restored before recovery is proven, so an image that does
+/// not restore exits `1`, whatever its journal holds.
 fn run_spor(
     args: &Args,
     trace: &workloads::Trace,
     measured: Option<IterationProfile>,
     observe: bool,
 ) -> i32 {
-    use ssd::{CrashPlan, DeviceImage, PageMapFtl, SimError};
+    use ssd::{CrashPlan, DeviceImage, SimError};
     let scheme = args.scheme;
     if let Some(path) = args.restore.as_deref() {
         let image = match DeviceImage::load(path) {
@@ -946,14 +949,20 @@ fn run_spor(
             eprintln!("error: {e}");
             return 1;
         }
-        let crashed = image.crashed_at.is_some() || !image.journal.is_empty();
-        let mut recovery = None;
-        if crashed {
+        let (config, faulty) = build_config(scheme, args, measured);
+        let mut sim = match SsdSimulator::restore(config, &image) {
+            Ok(sim) => sim,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return 1;
+            }
+        };
+        if image.crashed_at.is_some() || !image.journal.is_empty() {
             // Crash-consistency proof: replay the surviving journal onto
-            // the checkpoint-time FTL and audit the result before the
-            // deterministic re-execution resumes.
-            let (_, report) = match PageMapFtl::recover(&image.ftl, &image.journal, image.torn) {
-                Ok(outcome) => outcome,
+            // a copy of the restored checkpoint-time FTL and audit the
+            // result before the deterministic re-execution resumes.
+            let report = match sim.ftl().clone().replay(&image.journal, image.torn) {
+                Ok(report) => report,
                 Err(e) => {
                     eprintln!("error: crash recovery failed: {e}");
                     return 3;
@@ -971,24 +980,13 @@ fn run_spor(
                 report.torn_pages_discarded
             );
             println!("checkpoint age            : {age} requests\n");
-            recovery = Some((report, age));
+            sim.note_recovery(&report, age);
         }
-        let (config, faulty) = build_config(scheme, args, measured);
-        let mut sim = match SsdSimulator::restore(config, &image) {
-            Ok(sim) => sim,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
         if observe {
             // `attach_observer` hands the image's time-series state to
             // the fresh observer, so the resumed series continues the
             // checkpointed run's mid-window.
             sim.attach_observer(build_observer(scheme, args));
-        }
-        if let Some((report, age)) = recovery {
-            sim.note_recovery(&report, age);
         }
         match sim.resume(trace) {
             Ok(_) => {

@@ -1017,11 +1017,29 @@ impl PageMapFtl {
         Ok(ftl)
     }
 
-    /// Sudden-power-off recovery: rebuilds the FTL from a checkpoint
-    /// `image`, replays a `journal` prefix (everything that reached the
-    /// flash array before power was cut), discards a torn
-    /// interrupted-program page if one is reported, and verifies the
-    /// result with [`check_invariants`](Self::check_invariants).
+    /// Sudden-power-off recovery: [`from_image`](Self::from_image) of
+    /// the checkpoint `image`, then [`replay`](Self::replay) of the
+    /// surviving `journal` and `torn` page.
+    ///
+    /// # Errors
+    ///
+    /// As `from_image` for the image and `replay` for the journal.
+    pub fn recover(
+        image: &FtlImage,
+        journal: &[JournalRecord],
+        torn: Option<TornPage>,
+    ) -> Result<(PageMapFtl, RecoveryReport), ImageError> {
+        let mut ftl = PageMapFtl::from_image(image)?;
+        let report = ftl.replay(journal, torn)?;
+        Ok((ftl, report))
+    }
+
+    /// Replays a `journal` prefix (everything that reached the flash
+    /// array before power was cut) onto this checkpoint-time FTL,
+    /// discards a torn interrupted-program page if one is reported, and
+    /// verifies the result with
+    /// [`check_invariants`](Self::check_invariants). On error the FTL is
+    /// left part-way through the replay.
     ///
     /// Replaying the *full* journal reproduces the live device's
     /// [`digest`](Self::digest) exactly; replaying any prefix yields the
@@ -1030,17 +1048,15 @@ impl PageMapFtl {
     ///
     /// # Errors
     ///
-    /// As [`from_image`](Self::from_image) for the checkpoint image;
-    /// [`ImageError::Corrupt`] if a journal record does not apply to
-    /// the state before it; [`ImageError::Invariant`] if the rebuilt
-    /// state fails the invariant sweep.
-    pub fn recover(
-        image: &FtlImage,
+    /// [`ImageError::Corrupt`] if a journal record does not apply to the
+    /// state before it; [`ImageError::Invariant`] if the rebuilt state
+    /// fails the invariant sweep.
+    pub fn replay(
+        &mut self,
         journal: &[JournalRecord],
         torn: Option<TornPage>,
-    ) -> Result<(PageMapFtl, RecoveryReport), ImageError> {
-        let mut ftl = PageMapFtl::from_image(image)?;
-        let ppb = ftl.geometry.pages_per_block();
+    ) -> Result<RecoveryReport, ImageError> {
+        let ppb = self.geometry.pages_per_block();
         let mut report = RecoveryReport::default();
         for record in journal {
             match *record {
@@ -1051,13 +1067,13 @@ impl PageMapFtl {
                     mode,
                 } => {
                     let bidx = block.0 as usize;
-                    if bidx >= ftl.blocks.len() || lpn >= ftl.logical_pages() {
+                    if bidx >= self.blocks.len() || lpn >= self.logical_pages() {
                         return Err(ImageError::Corrupt("journal write out of range"));
                     }
-                    if ftl.mapping[lpn as usize].is_some() {
+                    if self.mapping[lpn as usize].is_some() {
                         return Err(ImageError::Corrupt("journal write over a live mapping"));
                     }
-                    let state = &ftl.blocks[bidx];
+                    let state = &self.blocks[bidx];
                     if state.retired {
                         return Err(ImageError::Corrupt("journal write into a retired block"));
                     }
@@ -1067,42 +1083,42 @@ impl PageMapFtl {
                     if page != state.frontier || page >= usable_pages(mode, ppb) {
                         return Err(ImageError::Corrupt("journal write off the frontier"));
                     }
-                    ftl.apply_program(lpn, PhysicalPage::new(block, page), mode);
+                    self.apply_program(lpn, PhysicalPage::new(block, page), mode);
                 }
-                JournalRecord::Invalidate { lpn } => ftl.invalidate(lpn),
+                JournalRecord::Invalidate { lpn } => self.invalidate(lpn),
                 JournalRecord::Map { lpn, block, page } => {
                     let bidx = block.0 as usize;
-                    if bidx >= ftl.blocks.len()
-                        || lpn >= ftl.logical_pages()
-                        || page >= ftl.blocks[bidx].frontier
+                    if bidx >= self.blocks.len()
+                        || lpn >= self.logical_pages()
+                        || page >= self.blocks[bidx].frontier
                     {
                         return Err(ImageError::Corrupt("journal map out of range"));
                     }
-                    if ftl.mapping[lpn as usize].is_some()
-                        || ftl.blocks[bidx].slots[page as usize].is_some()
+                    if self.mapping[lpn as usize].is_some()
+                        || self.blocks[bidx].slots[page as usize].is_some()
                     {
                         return Err(ImageError::Corrupt("journal map over live data"));
                     }
-                    ftl.apply_map(lpn, PhysicalPage::new(block, page));
+                    self.apply_map(lpn, PhysicalPage::new(block, page));
                 }
                 JournalRecord::Erase { block } => {
                     let bidx = block.0 as usize;
-                    if bidx >= ftl.blocks.len() {
+                    if bidx >= self.blocks.len() {
                         return Err(ImageError::Corrupt("journal erase out of range"));
                     }
-                    if ftl.free.contains(&block) {
+                    if self.free.contains(&block) {
                         return Err(ImageError::Corrupt("journal erase of a free block"));
                     }
-                    if ftl.blocks[bidx].valid != 0 {
+                    if self.blocks[bidx].valid != 0 {
                         return Err(ImageError::Corrupt("journal erase of a live block"));
                     }
-                    ftl.apply_erase(block);
+                    self.apply_erase(block);
                 }
                 JournalRecord::Retire { block } => {
-                    if block.0 as usize >= ftl.blocks.len() {
+                    if block.0 as usize >= self.blocks.len() {
                         return Err(ImageError::Corrupt("journal retire out of range"));
                     }
-                    ftl.apply_retire(block);
+                    self.apply_retire(block);
                 }
                 JournalRecord::Commit { .. } => {}
             }
@@ -1110,9 +1126,9 @@ impl PageMapFtl {
         }
         if let Some(torn) = torn {
             let bidx = torn.block.0 as usize;
-            if bidx < ftl.blocks.len() {
+            if bidx < self.blocks.len() {
                 let plausible = {
-                    let state = &ftl.blocks[bidx];
+                    let state = &self.blocks[bidx];
                     !state.retired
                         && torn.page == state.frontier
                         && torn.page < usable_pages(state.mode, ppb)
@@ -1122,14 +1138,14 @@ impl PageMapFtl {
                     // mapping update never did: the slot reads back
                     // uncorrectable, so burn it — advance the frontier
                     // past the dead page without mapping anything to it.
-                    ftl.free.retain(|&b| b != torn.block);
-                    ftl.blocks[bidx].frontier += 1;
+                    self.free.retain(|&b| b != torn.block);
+                    self.blocks[bidx].frontier += 1;
                     report.torn_pages_discarded += 1;
                 }
             }
         }
-        ftl.check_invariants().map_err(ImageError::Invariant)?;
-        Ok((ftl, report))
+        self.check_invariants().map_err(ImageError::Invariant)?;
+        Ok(report)
     }
 }
 

@@ -6,32 +6,34 @@
 //! code executes at all — the `Option` check is the entire disabled-path
 //! cost, which keeps golden fixtures and throughput untouched.
 //!
-//! When attached, the observer records two kinds of data:
+//! The observer learns about a run at two feed points; the logical layer
+//! (buffer, FTL, read path, recovery ladder, patrol scrub) holds no
+//! observer code:
 //!
-//! * **Event-time histograms** — response times, sensing depths, decoder
-//!   iterations, recovery depths and (pipelined model) per-stage
-//!   busy/wait times, observed as the simulation makes each decision.
-//!   Stage histograms are recorded at the *same call site* as
-//!   [`SimStats::record_stage`], so their counts reconcile exactly with
-//!   [`StageAccount::ops`](crate::stats::StageAccount::ops).
-//! * **End-of-run folds** — every `SimStats` counter is copied into the
-//!   registry after the run (`SimObserver::finish_run`), guaranteeing
-//!   the exported counters equal the golden counters by construction.
+//! * **`end_request`** — once per admitted request, one walk of its
+//!   foreground [`FlashOp`] chain (the chain both timing models run)
+//!   reads off what the request did: each [`FlashOp::Read`]'s sensing
+//!   depth and decoder iterations, the recovery ladder its
+//!   [`FlashOp::Retry`] rungs climbed, its die resets and its read
+//!   span's stages. The call adds what the chain does not carry: the
+//!   request, its tenant, its lumped response for the SLO tally and the
+//!   patrol-scrub visit it triggered.
+//! * **`record`** — the simulator's one recording path reports timing:
+//!   a request entering service, each pipeline stage (at the same call
+//!   site as [`SimStats::record_stage`], so stage histogram counts equal
+//!   [`StageAccount::ops`](crate::stats::StageAccount::ops)) and each
+//!   completion.
 //!
-//! Read requests additionally emit a structured [`ReadSpan`] with a
-//! per-stage latency decomposition that sums to the request's flash
-//! service time. The stages are read off the request's foreground
-//! [`FlashOp`] chain — the same chain the single-queue model prices and
-//! the pipelined model schedules — when the logical layer queues the
-//! request (`end_request`); a recovery rung ([`FlashOp::Retry`]) is one
-//! `"retry"` stage. Both timing backends complete a request the same
-//! way: the simulator's one recorder fills in its start (`started`) and
-//! response (`finished`) times — at once under the single-queue model,
-//! as the scheduler reports them under the pipelined one. Each
-//! completion flushes the finished prefix of the request-ordered queue,
-//! so spans and response observations are emitted in request order —
-//! trace output is independent of event interleaving — and the queue
-//! only holds requests still in flight.
+//! Besides these, `on_arrival` closes time-series windows and
+//! `finish_run` folds every `SimStats` counter into the registry, so the
+//! exported counters equal the golden counters by construction.
+//!
+//! Instant events are offered in the order the logical layer met them
+//! (per page, die reset then ladder; the scrub visit last): reservoir
+//! sampling keeps events by offer order. Each completion flushes the
+//! finished prefix of the request-ordered queue, so spans and response
+//! observations come out in request order — independent of event
+//! interleaving — and the queue only holds requests still in flight.
 //!
 //! [`SsdSimulator`]: crate::sim::SsdSimulator
 //! [`SsdSimulator::attach_observer`]: crate::sim::SsdSimulator::attach_observer
@@ -46,9 +48,13 @@ use obs::{
     StageTiming, TraceEvent,
 };
 
+use workloads::{IoOp, IoRequest};
+
 use crate::config::Scheme;
 use crate::pipeline::{FlashOp, StageKind};
+use crate::scheduler::Event;
 use crate::serve::{Backpressure, ServeOptions};
+use crate::sim::ScrubVisit;
 use crate::stats::SimStats;
 
 /// Reads one logical counter out of `SimStats`.
@@ -240,44 +246,27 @@ struct ProgressMeter {
     every: std::time::Duration,
 }
 
-/// Severity-ordered span outcome: later variants dominate earlier ones
-/// when a multi-page request mixes outcomes.
-const RANK_BUFFER_HIT: u8 = 0;
-const RANK_SUCCESS: u8 = 1;
-const RANK_RECOVERED: u8 = 2;
-const RANK_UNCORRECTABLE: u8 = 3;
-
-fn outcome_of(rank: u8) -> SpanOutcome {
-    match rank {
-        RANK_BUFFER_HIT => SpanOutcome::BufferHit,
-        RANK_SUCCESS => SpanOutcome::Success,
-        RANK_RECOVERED => SpanOutcome::Recovered,
-        _ => SpanOutcome::Uncorrectable,
-    }
-}
-
-/// Span fields the logical layer knows before timing is resolved.
-#[derive(Debug, Default)]
-struct PendingSpan {
-    lpn: u64,
-    tenant: u32,
-    stages: Vec<StageTiming>,
-    sensing_levels: u32,
-    decode_iterations: u32,
-    retry_rungs: u32,
-    rank: u8,
-}
-
 /// One request's record between its logical phase and its completion.
 #[derive(Debug)]
 struct DeferredRequest {
-    arrival: Micros,
-    /// The arrival until the request is reported started (a request
-    /// with no foreground device work never is).
-    start: Micros,
     /// `None` until the request completes (a zero response is legal).
     response: Option<Micros>,
-    span: Option<PendingSpan>,
+    /// The request's tenant on tenanted runs.
+    tenant: Option<u32>,
+    /// A read's span. It starts at the arrival until the request is
+    /// reported started (a request with no foreground device work never
+    /// is); its sequence number and response are set when it flushes.
+    span: Option<ReadSpan>,
+}
+
+/// The recovery ladder of one sensed page read, as its chain climbs it.
+#[derive(Debug)]
+struct Ladder {
+    lpn: u64,
+    /// Rungs climbed so far.
+    depth: u32,
+    /// Whether the last rung climbed decoded (`true` before any rung).
+    recovered: bool,
 }
 
 /// Records metrics and read spans for one simulator run.
@@ -295,28 +284,22 @@ pub struct SimObserver {
     h_stage_busy: [HistogramId; StageKind::ALL.len()],
     h_stage_wait: [HistogramId; StageKind::ALL.len()],
     /// Per-tenant response histograms, indexed by tenant; registered by
-    /// [`ensure_tenants`](Self::ensure_tenants) (empty for replay runs).
+    /// [`reset`](Self::reset) (empty for replay runs).
     h_tenant_response: Vec<HistogramId>,
-    /// Tenant the request currently in the logical layer belongs to
-    /// (0 — and never updated — for replay runs).
-    current_tenant: u32,
-    pending: Option<PendingSpan>,
+    /// Whether the simulator draws read faults, so that every sensed
+    /// read resolves a recovery ladder — observed even when it climbs no
+    /// rung. Learned when the observer is attached.
+    fault_draws: bool,
     /// Requests not yet flushed, in request order; the front has key
     /// `deferred_base`.
     deferred: VecDeque<DeferredRequest>,
     deferred_base: u64,
-    seq: u64,
     /// Windowed time-series sampler; `None` unless enabled via
     /// [`with_series`](Self::with_series).
     series: Option<SeriesRecorder>,
     /// Wall-clock heartbeat; `None` unless enabled via
     /// [`with_progress`](Self::with_progress).
     progress: Option<ProgressMeter>,
-    /// Arrival time of the request currently in the logical layer;
-    /// instant events are stamped with it so the event stream is a
-    /// function of request order alone.
-    current_arrival: f64,
-    event_seq: u64,
 }
 
 impl SimObserver {
@@ -371,15 +354,11 @@ impl SimObserver {
             h_stage_busy,
             h_stage_wait,
             h_tenant_response: Vec::new(),
-            current_tenant: 0,
-            pending: None,
+            fault_draws: false,
             deferred: VecDeque::new(),
             deferred_base: 0,
-            seq: 0,
             series: None,
             progress: None,
-            current_arrival: 0.0,
-            event_seq: 0,
         }
     }
 
@@ -432,31 +411,24 @@ impl SimObserver {
         self.recorder
     }
 
-    /// Clears recorded values and span state while keeping registered
-    /// series valid; called by the simulator's preload so re-running a
-    /// simulator does not double-count.
-    pub(crate) fn reset(&mut self) {
-        self.recorder.metrics.reset_values();
-        self.recorder.spans.clear();
-        self.pending = None;
-        self.deferred.clear();
-        self.deferred_base = 0;
-        self.seq = 0;
-        self.current_tenant = 0;
-        self.current_arrival = 0.0;
-        self.event_seq = 0;
-        if let Some(series) = self.series.as_mut() {
-            series.sampler.reset();
-            series.lumped_violations.iter_mut().for_each(|v| *v = 0);
-            series.prev_burn.iter_mut().for_each(|b| *b = (0, 0));
-        }
+    /// Whether the simulator the observer is attached to draws read
+    /// faults.
+    pub(crate) fn set_fault_draws(&mut self, enabled: bool) {
+        self.fault_draws = enabled;
     }
 
-    /// Registers per-tenant response histograms — and, when the time
-    /// series is enabled, per-tenant series columns plus SLO targets —
-    /// for every tenant in `options` (idempotent: already-registered
-    /// tenants keep their ids and columns).
-    pub(crate) fn ensure_tenants(&mut self, options: &ServeOptions) {
+    /// Clears recorded values and span state while keeping registered
+    /// series valid, then registers per-tenant response histograms —
+    /// and, when the time series is enabled, per-tenant series columns
+    /// plus SLO targets — for every tenant in `options` (already
+    /// registered tenants keep their ids and columns). Called by the
+    /// simulator's preload, so re-running a simulator does not
+    /// double-count.
+    pub(crate) fn reset(&mut self, options: &ServeOptions) {
+        self.recorder.metrics.reset_values();
+        self.recorder.spans.clear();
+        self.deferred.clear();
+        self.deferred_base = 0;
         let n = options.tenants.len() as u32;
         for tenant in self.h_tenant_response.len() as u32..n {
             let t = tenant.to_string();
@@ -468,6 +440,9 @@ impl SimObserver {
             ));
         }
         if let Some(series) = self.series.as_mut() {
+            series.sampler.reset();
+            series.lumped_violations.iter_mut().for_each(|v| *v = 0);
+            series.prev_burn.iter_mut().for_each(|b| *b = (0, 0));
             for tenant in series.slo_targets.len()..options.tenants.len() {
                 series.sampler.extend_schema(
                     &[
@@ -486,94 +461,18 @@ impl SimObserver {
         }
     }
 
-    /// Sets the tenant subsequent requests will be attributed to.
-    pub(crate) fn set_tenant(&mut self, tenant: u32) {
-        self.current_tenant = tenant;
-    }
-
-    /// Records one served request's response into its tenant's histogram.
-    pub(crate) fn tenant_response(&mut self, tenant: u32, response: Micros) {
-        if let Some(&id) = self.h_tenant_response.get(tenant as usize) {
-            self.recorder.metrics.observe(id, response.as_f64());
-        }
-    }
-
-    /// Starts the span of one host request; only reads build spans.
-    /// `arrival_us` stamps any instant events the request triggers.
-    pub(crate) fn begin_request(&mut self, lpn: u64, is_read: bool, arrival_us: f64) {
-        self.current_arrival = arrival_us;
-        self.pending = is_read.then(|| PendingSpan {
-            lpn,
-            tenant: self.current_tenant,
-            ..PendingSpan::default()
-        });
-    }
-
-    /// Records one flash-served host page read: its sensing depth and
-    /// charged decoder iterations.
-    pub(crate) fn flash_read(&mut self, levels: u32, iterations: u32) {
-        self.recorder.metrics.observe(self.h_sensing, levels as f64);
-        self.recorder
-            .metrics
-            .observe(self.h_iterations, iterations as f64);
-        if let Some(pending) = self.pending.as_mut() {
-            pending.rank = pending.rank.max(RANK_SUCCESS);
-            pending.sensing_levels = pending.sensing_levels.max(levels);
-            pending.decode_iterations = pending.decode_iterations.max(iterations);
-        }
-    }
-
-    /// Records the resolved recovery ladder of one faulted frame read
-    /// (`depth == 0` = clean first decode). Ladder climbs (`depth > 0`)
-    /// additionally emit an instant trace event.
-    pub(crate) fn retry(&mut self, lpn: u64, depth: usize, recovered: bool) {
-        self.recorder
-            .metrics
-            .observe(self.h_retry_depth, depth as f64);
-        if let Some(pending) = self.pending.as_mut() {
-            pending.retry_rungs += depth as u32;
-            if depth > 0 {
-                pending.rank = pending.rank.max(if recovered {
-                    RANK_RECOVERED
-                } else {
-                    RANK_UNCORRECTABLE
-                });
-            }
-        }
-        if depth > 0 {
-            self.push_event(
-                lpn,
-                EventKind::Retry {
-                    depth: depth as u32,
-                    recovered,
-                },
-            );
-        }
-    }
-
-    /// Emits an instant trace event for a transient die fault that
-    /// interposed a reset before the read at `lpn` could be served.
-    pub(crate) fn die_reset(&mut self, lpn: u64) {
-        self.push_event(lpn, EventKind::DieReset);
-    }
-
-    /// Emits an instant trace event for one patrol-scrub visit of
-    /// `block` (the event's `lpn` field carries the block id).
-    pub(crate) fn scrub(&mut self, block: u64, reads: u32, refreshes: u32) {
-        self.push_event(block, EventKind::Scrub { reads, refreshes });
-    }
-
-    fn push_event(&mut self, lpn: u64, kind: EventKind) {
-        let event = TraceEvent {
-            seq: self.event_seq,
-            t_us: self.current_arrival,
+    /// Offers one instant trace event, stamped with the arrival `t_us`
+    /// and `tenant` of the request that caused it; its sequence number
+    /// is its offer index.
+    fn push_event(&mut self, t_us: f64, tenant: u32, lpn: u64, kind: EventKind) {
+        self.recorder.spans.push_event(TraceEvent {
+            seq: self.recorder.spans.events_offered(),
+            t_us,
             scheme: self.scheme,
-            tenant: self.current_tenant,
+            tenant,
             lpn,
             kind,
-        };
-        self.event_seq += 1;
-        self.recorder.spans.push_event(event);
+        });
     }
 
     /// Arrival hook, called once per host request before its effects
@@ -616,19 +515,6 @@ impl SimObserver {
         }
     }
 
-    /// Tallies one served request's *lumped* response against its
-    /// tenant's SLO (see [`SeriesRecorder`]); the call site is the
-    /// backpressure commit, identical in both backends.
-    pub(crate) fn tenant_lumped(&mut self, tenant: u32, response_us: f64) {
-        if let Some(series) = self.series.as_mut() {
-            if let Some(&target) = series.slo_targets.get(tenant as usize) {
-                if target > 0.0 && response_us > target {
-                    series.lumped_violations[tenant as usize] += 1;
-                }
-            }
-        }
-    }
-
     /// Snapshot of the sampler for the device image (`None` when the
     /// series is disabled).
     pub(crate) fn series_state(&self) -> Option<SeriesState> {
@@ -644,23 +530,81 @@ impl SimObserver {
             .is_some_and(|s| s.sampler.restore(state))
     }
 
-    /// Ends the current request's logical phase and queues it until its
-    /// timing is known; returns the key [`started`](Self::started) and
-    /// [`finished`](Self::finished) name it by. A read's span stages are
-    /// read off its foreground op chain `fg`, priced by `latency`, each
-    /// stage starting where the previous one ended.
+    /// Ends `request`'s logical phase and queues it until its timing is
+    /// known; returns the key [`record`](Self::record) names it by.
+    ///
+    /// One walk of the foreground op chain `fg` observes each
+    /// [`FlashOp::Read`]'s sensing depth and decoder iterations, the
+    /// recovery ladder its [`FlashOp::Retry`] rungs climbed (when fault
+    /// draws run) and its die resets, and gives a read its span: those
+    /// facts plus the chain's stages, priced by `latency`. Instant events
+    /// carry the arrival and `tenant` (0 on untenanted runs). On tenanted
+    /// runs the `lumped` response is tallied against the tenant's SLO
+    /// (see [`SeriesRecorder`]).
     pub(crate) fn end_request(
         &mut self,
-        arrival: Micros,
+        request: &IoRequest,
+        tenant: Option<u32>,
+        lumped: Micros,
+        scrub: Option<ScrubVisit>,
         fg: &[FlashOp],
         latency: &ReadLatencyModel,
     ) -> u64 {
-        let mut span = self.pending.take();
-        if let Some(pending) = span.as_mut() {
-            let mut offset_us = 0.0;
-            for op in fg {
+        let (t_us, tenant_id) = (request.arrival_us, tenant.unwrap_or(0));
+        let mut span = (request.op == IoOp::Read).then(|| ReadSpan {
+            seq: 0,
+            lpn: request.lpn,
+            scheme: self.scheme,
+            tenant: tenant_id,
+            arrival_us: t_us,
+            start_us: t_us,
+            response_us: 0.0,
+            sensing_levels: 0,
+            decode_iterations: 0,
+            retry_rungs: 0,
+            stages: Vec::new(),
+            outcome: SpanOutcome::BufferHit,
+        });
+        let mut ladder = None;
+        let mut offset_us = 0.0;
+        for op in fg {
+            match *op {
+                FlashOp::Read {
+                    lpn,
+                    extra_levels,
+                    iterations,
+                    ..
+                } => {
+                    let iterations = u32::from(iterations);
+                    self.close_ladder(ladder.take(), span.as_mut(), t_us, tenant_id);
+                    let metrics = &mut self.recorder.metrics;
+                    metrics.observe(self.h_sensing, extra_levels as f64);
+                    metrics.observe(self.h_iterations, iterations as f64);
+                    if let Some(span) = span.as_mut() {
+                        span.outcome = span.outcome.max(SpanOutcome::Success);
+                        span.sensing_levels = span.sensing_levels.max(extra_levels);
+                        span.decode_iterations = span.decode_iterations.max(iterations);
+                    }
+                    ladder = self.fault_draws.then_some(Ladder {
+                        lpn,
+                        depth: 0,
+                        recovered: true,
+                    });
+                }
+                FlashOp::Retry { decoded, .. } => {
+                    if let Some(ladder) = ladder.as_mut() {
+                        ladder.depth += 1;
+                        ladder.recovered = decoded;
+                    }
+                }
+                FlashOp::DieReset { lpn, .. } => {
+                    self.push_event(t_us, tenant_id, lpn, EventKind::DieReset);
+                }
+                _ => {}
+            }
+            if let Some(span) = span.as_mut() {
                 op.for_each_span_stage(latency, |stage, duration| {
-                    pending.stages.push(StageTiming {
+                    span.stages.push(StageTiming {
                         stage,
                         offset_us,
                         duration_us: duration.as_f64(),
@@ -669,80 +613,110 @@ impl SimObserver {
                 });
             }
         }
+        self.close_ladder(ladder, span.as_mut(), t_us, tenant_id);
+        if let Some(visit) = scrub {
+            let kind = EventKind::Scrub {
+                reads: visit.reads,
+                refreshes: visit.refreshes,
+            };
+            // The event's `lpn` field carries the block id.
+            self.push_event(t_us, tenant_id, u64::from(visit.block.0), kind);
+        }
+        if let (Some(tenant), Some(series)) = (tenant, self.series.as_mut()) {
+            if let Some(&target) = series.slo_targets.get(tenant as usize) {
+                if target > 0.0 && lumped.as_f64() > target {
+                    series.lumped_violations[tenant as usize] += 1;
+                }
+            }
+        }
         self.deferred.push_back(DeferredRequest {
-            arrival,
-            start: arrival,
             response: None,
+            tenant,
             span,
         });
         self.deferred_base + self.deferred.len() as u64 - 1
     }
 
-    /// Request `key` entered service at `start`.
-    pub(crate) fn started(&mut self, key: u64, start: Micros) {
-        self.deferred[(key - self.deferred_base) as usize].start = start;
+    /// Observes the resolved recovery ladder of one sensed page read
+    /// (depth 0 = clean first decode) into the retry-depth histogram and
+    /// the request's span; a ladder climb also emits an instant event.
+    fn close_ladder(
+        &mut self,
+        ladder: Option<Ladder>,
+        span: Option<&mut ReadSpan>,
+        t_us: f64,
+        tenant: u32,
+    ) {
+        let Some(Ladder {
+            lpn,
+            depth,
+            recovered,
+        }) = ladder
+        else {
+            return;
+        };
+        self.recorder
+            .metrics
+            .observe(self.h_retry_depth, depth as f64);
+        if depth == 0 {
+            return;
+        }
+        if let Some(span) = span {
+            span.retry_rungs += depth;
+            span.outcome = span.outcome.max(if recovered {
+                SpanOutcome::Recovered
+            } else {
+                SpanOutcome::Uncorrectable
+            });
+        }
+        self.push_event(t_us, tenant, lpn, EventKind::Retry { depth, recovered });
     }
 
-    /// Request `key` completed with `response`. Flushes the finished
-    /// prefix of the queue — response observations and spans in request
-    /// order, making trace/metric state independent of the scheduler's
-    /// interleaving. Under the single-queue model every request finishes
-    /// as it is admitted, so the queue flushes at once.
-    pub(crate) fn finished(&mut self, key: u64, response: Micros) {
-        self.deferred[(key - self.deferred_base) as usize].response = Some(response);
-        while let Some(response) = self.deferred.front().and_then(|d| d.response) {
-            let done = self.deferred.pop_front();
-            self.deferred_base += 1;
-            self.recorder
-                .metrics
-                .observe(self.h_response, response.as_f64());
-            if let Some(DeferredRequest {
-                arrival,
-                start,
-                span: Some(span),
-                ..
-            }) = done
-            {
-                self.emit_span(span, arrival, start, response);
+    /// Records one event of the simulator's recording path: request
+    /// `obs_key` entering service, one pipeline stage execution (same
+    /// call site as [`SimStats::record_stage`], so counts reconcile
+    /// exactly) or a completion. A completion feeds its tenant's
+    /// histogram at once, in completion order, then flushes the finished
+    /// prefix of the queue: response observations and spans in request
+    /// order, independent of the scheduler's interleaving. Under the
+    /// single-queue model every request finishes as it is admitted, so
+    /// the queue flushes at once.
+    ///
+    /// [`SimStats::record_stage`]: crate::stats::SimStats::record_stage
+    pub(crate) fn record(&mut self, event: Event) {
+        let metrics = &mut self.recorder.metrics;
+        match event {
+            Event::Started(request, start) => {
+                let queued = &mut self.deferred[(request.obs_key - self.deferred_base) as usize];
+                if let Some(span) = queued.span.as_mut() {
+                    span.start_us = start.as_f64();
+                }
+            }
+            Event::Stage(kind, busy, wait) => {
+                metrics.observe(self.h_stage_busy[kind as usize], busy.as_f64());
+                metrics.observe(self.h_stage_wait[kind as usize], wait.as_f64());
+            }
+            Event::Finished(request, response) => {
+                let done = &mut self.deferred[(request.obs_key - self.deferred_base) as usize];
+                done.response = Some(response);
+                if let Some(&id) = done
+                    .tenant
+                    .and_then(|t| self.h_tenant_response.get(t as usize))
+                {
+                    metrics.observe(id, response.as_f64());
+                }
+                while let Some(response) = self.deferred.front().and_then(|d| d.response) {
+                    let span = self.deferred.pop_front().and_then(|d| d.span);
+                    self.deferred_base += 1;
+                    metrics.observe(self.h_response, response.as_f64());
+                    if let Some(mut span) = span {
+                        span.seq = self.recorder.spans.offered();
+                        span.response_us = response.as_f64();
+                        self.recorder.spans.push(span);
+                    }
+                }
             }
         }
-    }
-
-    /// Records one pipeline stage execution (same call site as
-    /// [`SimStats::record_stage`], so counts reconcile exactly).
-    pub(crate) fn record_stage(&mut self, kind: StageKind, busy: Micros, wait: Micros) {
-        let i = kind as usize;
-        self.recorder
-            .metrics
-            .observe(self.h_stage_busy[i], busy.as_f64());
-        self.recorder
-            .metrics
-            .observe(self.h_stage_wait[i], wait.as_f64());
-    }
-
-    fn emit_span(
-        &mut self,
-        pending: PendingSpan,
-        arrival: Micros,
-        start: Micros,
-        response: Micros,
-    ) {
-        let span = ReadSpan {
-            seq: self.seq,
-            lpn: pending.lpn,
-            scheme: self.scheme,
-            tenant: pending.tenant,
-            arrival_us: arrival.as_f64(),
-            start_us: start.as_f64(),
-            response_us: response.as_f64(),
-            sensing_levels: pending.sensing_levels,
-            decode_iterations: pending.decode_iterations,
-            retry_rungs: pending.retry_rungs,
-            stages: pending.stages,
-            outcome: outcome_of(pending.rank),
-        };
-        self.seq += 1;
-        self.recorder.spans.push(span);
     }
 
     /// Folds the finished run's `SimStats` into the registry: every
@@ -915,24 +889,47 @@ impl SimObserver {
 
 #[cfg(test)]
 mod tests {
+    use flash_model::BlockId;
+    use obs::SpanOutcome;
+
     use super::*;
+    use crate::scheduler::Request;
+
+    fn read(arrival_us: f64, lpn: u64) -> IoRequest {
+        IoRequest {
+            arrival_us,
+            lpn,
+            pages: 1,
+            op: IoOp::Read,
+        }
+    }
+
+    fn key(obs_key: u64) -> Request {
+        Request {
+            tenant: 0,
+            arrival: Micros::ZERO,
+            is_read: true,
+            obs_key,
+        }
+    }
 
     #[test]
     fn spans_flush_in_request_order_as_the_finished_prefix_grows() {
         let mut o = SimObserver::new(Scheme::FlexLevel, 0);
+        let latency = ReadLatencyModel::paper_mlc();
         let arrival = |i: u64| Micros(10.0 * i as f64);
         let response = |i: u64| Micros(100.0 + i as f64);
         let keys: Vec<u64> = (0..3)
             .map(|i| {
-                o.begin_request(i, true, arrival(i).as_f64());
-                let key = o.end_request(arrival(i), &[], &ReadLatencyModel::paper_mlc());
-                o.started(key, arrival(i) + Micros(1.0));
-                key
+                let request = read(arrival(i).as_f64(), i);
+                let k = o.end_request(&request, None, Micros::ZERO, None, &[], &latency);
+                o.record(Event::Started(key(k), arrival(i) + Micros(1.0)));
+                k
             })
             .collect();
         let mut flushed = Vec::new();
         for i in [2, 0, 1] {
-            o.finished(keys[i as usize], response(i));
+            o.record(Event::Finished(key(keys[i as usize]), response(i)));
             let responses = o.recorder().metrics.histogram_value(o.h_response).count();
             flushed.push((o.recorder().spans.len(), responses));
         }
@@ -944,5 +941,96 @@ mod tests {
             assert_eq!(span.start_us, arrival(i).as_f64() + 1.0);
             assert_eq!(span.response_us, response(i).as_f64());
         }
+    }
+
+    /// One walk of a chain yields the span fields and the instant events,
+    /// in the order the logical layer met them: per page its die reset
+    /// then its ladder, the scrub visit last.
+    #[test]
+    fn end_request_reads_the_chain() {
+        let mut o = SimObserver::new(Scheme::FlexLevel, 0);
+        o.set_fault_draws(true);
+        let latency = ReadLatencyModel::paper_mlc();
+        let decode = Micros(5.0);
+        let sensed = |lpn, extra_levels, iterations| FlashOp::Read {
+            lpn,
+            extra_levels,
+            decode,
+            iterations,
+        };
+        let rung = |lpn, decoded| FlashOp::Retry {
+            lpn,
+            extra_levels: 4,
+            decode,
+            decoded,
+        };
+        let chain = [
+            sensed(7, 2, 9),
+            FlashOp::DieReset {
+                lpn: 7,
+                duration: Micros(50.0),
+            },
+            rung(7, false),
+            rung(7, true),
+            FlashOp::HostTransfer { lpn: 8 },
+            sensed(9, 3, 4),
+            sensed(10, 0, 1),
+            rung(10, false),
+        ];
+        let scrub = ScrubVisit {
+            block: BlockId(3),
+            reads: 12,
+            refreshes: 2,
+        };
+        let request = IoRequest {
+            pages: 4,
+            ..read(40.0, 7)
+        };
+        let k = o.end_request(
+            &request,
+            Some(1),
+            Micros::ZERO,
+            Some(scrub),
+            &chain,
+            &latency,
+        );
+        o.record(Event::Finished(key(k), Micros(900.0)));
+        let events: Vec<(u64, EventKind, u32, f64)> = o
+            .recorder()
+            .spans
+            .events()
+            .iter()
+            .map(|e| (e.lpn, e.kind, e.tenant, e.t_us))
+            .collect();
+        let retry = |depth, recovered| EventKind::Retry { depth, recovered };
+        assert_eq!(
+            events,
+            [
+                (7, EventKind::DieReset, 1, 40.0),
+                (7, retry(2, true), 1, 40.0),
+                (10, retry(1, false), 1, 40.0),
+                (
+                    3,
+                    EventKind::Scrub {
+                        reads: 12,
+                        refreshes: 2
+                    },
+                    1,
+                    40.0
+                ),
+            ]
+        );
+        let span = &o.recorder().spans.spans()[0];
+        assert_eq!((span.lpn, span.tenant), (7, 1));
+        assert_eq!(span.sensing_levels, 3);
+        assert_eq!(span.decode_iterations, 9);
+        assert_eq!(span.retry_rungs, 3);
+        assert_eq!(span.outcome, SpanOutcome::Uncorrectable);
+        assert_eq!(span.stages.len(), 14);
+        let depths = o.recorder().metrics.histogram_value(o.h_retry_depth);
+        // One ladder per sensed read, the clean one included.
+        assert_eq!((depths.count(), depths.sum()), (3, 3.0));
+        let levels = o.recorder().metrics.histogram_value(o.h_sensing);
+        assert_eq!((levels.count(), levels.sum()), (3, 5.0));
     }
 }

@@ -100,10 +100,15 @@ pub enum FlashOp {
         extra_levels: u32,
         /// Decoder-slot stage duration.
         decode: Micros,
+        /// Decoder iterations the read was charged, saturating (reported
+        /// by the observer; pricing reads `decode` alone). A `u16` keeps
+        /// the op 24 bytes wide, the size of every chain buffer slot.
+        iterations: u16,
     },
     /// One rung of the read-recovery ladder: a re-read staged and priced
     /// exactly like [`FlashOp::Read`], marked so a read span reports the
-    /// whole rung as one `"retry"` stage.
+    /// whole rung as one `"retry"` stage. A page's rungs follow its
+    /// `Read` (and any `DieReset`) in the chain.
     Retry {
         /// Logical page (resource routing).
         lpn: u64,
@@ -111,6 +116,10 @@ pub enum FlashOp {
         extra_levels: u32,
         /// Decoder-slot stage duration.
         decode: Micros,
+        /// Whether this rung decoded the frame: only a ladder's last rung
+        /// can, and its last rung failing means the read is
+        /// uncorrectable. Ignored by pricing and scheduling.
+        decoded: bool,
     },
     /// Host-interface transfer only: a buffer-hit read or a host write
     /// landing in the write-back buffer.
@@ -275,6 +284,7 @@ mod tests {
                     lpn: 17,
                     extra_levels: levels,
                     decode,
+                    iterations: iters as u16,
                 };
                 let total: Micros = op.stages(&m).iter().map(|s| s.duration).sum();
                 assert_eq!(total, m.read_latency(levels, iters));
@@ -289,6 +299,7 @@ mod tests {
             lpn: 3,
             extra_levels: 2,
             decode: Micros(10.0),
+            iterations: 4,
         };
         let stages = op.stages(&m);
         let kinds: Vec<StageKind> = stages.iter().map(|s| s.kind).collect();
@@ -362,11 +373,13 @@ mod tests {
                 lpn: 1,
                 extra_levels: 3,
                 decode,
+                iterations: 9,
             },
             FlashOp::Retry {
                 lpn: 1,
                 extra_levels: 3,
                 decode,
+                decoded: true,
             },
             FlashOp::HostTransfer { lpn: 1 },
             FlashOp::GcRead { lpn: 1 },
@@ -388,6 +401,33 @@ mod tests {
         assert_eq!(FlashOp::Program { lpn: 1 }.lumped(&m), m.timing.program);
         // A retry rung runs the same stages as the read it repeats.
         assert_eq!(every_kind[0].stages(&m), every_kind[1].stages(&m));
+        // What the observer reads off the chain prices nothing: other
+        // charged iterations, or a rung that failed, stage the same.
+        let observed = [
+            FlashOp::Read {
+                lpn: 1,
+                extra_levels: 3,
+                decode,
+                iterations: 1,
+            },
+            FlashOp::Retry {
+                lpn: 1,
+                extra_levels: 3,
+                decode,
+                decoded: false,
+            },
+        ];
+        for (op, twin) in observed.iter().zip(&every_kind) {
+            assert_eq!(op.stages(&m), twin.stages(&m));
+            assert_eq!(op.lumped(&m), twin.lumped(&m));
+        }
+    }
+
+    #[test]
+    fn ops_stay_three_words_wide() {
+        // Every request's chains and the scheduler's slab hold ops by
+        // value; the observer's fields must not widen them.
+        assert_eq!(std::mem::size_of::<FlashOp>(), 24);
     }
 
     #[test]
@@ -397,7 +437,8 @@ mod tests {
             FlashOp::Read {
                 lpn: 7,
                 extra_levels: 0,
-                decode: Micros::ZERO
+                decode: Micros::ZERO,
+                iterations: 1,
             }
             .lpn(),
             7

@@ -278,6 +278,7 @@ mod tests {
             lpn: 0,
             extra_levels: 2,
             decode: Micros(5.0),
+            iterations: 3,
         }];
         let (a, b) = (request(0, 0.0), request(1, 0.0));
         let senses: Vec<(Micros, Micros)> = events(&[(a, a.arrival, &read), (b, b.arrival, &read)])

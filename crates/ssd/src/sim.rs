@@ -156,12 +156,21 @@ pub struct CrashCut {
 }
 
 /// A whole host request's lumped cost: its op chains priced by the
-/// single-queue model.
+/// single-queue model, plus the patrol-scrub visit it triggered.
 #[derive(Debug)]
 struct RequestPlan {
     fg: Micros,
     bg: Micros,
     is_read: bool,
+    scrub: Option<ScrubVisit>,
+}
+
+/// One patrol-scrub visit: the block read and the pages refreshed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScrubVisit {
+    pub(crate) block: BlockId,
+    pub(crate) reads: u32,
+    pub(crate) refreshes: u32,
 }
 
 /// One request's foreground and background op chains: the one
@@ -174,16 +183,6 @@ struct RequestPlan {
 struct OpChains {
     fg: Vec<FlashOp>,
     bg: Vec<FlashOp>,
-}
-
-/// Scheme-resolved cost of one flash read: the sensing levels actually
-/// charged, the decoder-stage duration (including wasted
-/// progressive-sensing decode passes) and the decoder iterations.
-#[derive(Debug, Clone, Copy)]
-struct ReadPlan {
-    levels: u32,
-    decode: Micros,
-    iterations: u32,
 }
 
 /// The trace-driven SSD simulator.
@@ -308,6 +307,7 @@ impl SsdSimulator {
         if let Some(state) = self.restored_series.take() {
             observer.restore_series(&state);
         }
+        observer.set_fault_draws(self.faults.is_some());
         self.obs = Some(Box::new(observer));
     }
 
@@ -316,11 +316,6 @@ impl SsdSimulator {
     pub fn with_observer(mut self, observer: SimObserver) -> SsdSimulator {
         self.attach_observer(observer);
         self
-    }
-
-    /// The attached observer, if any.
-    pub fn observer(&self) -> Option<&SimObserver> {
-        self.obs.as_deref()
     }
 
     /// Detaches and returns the observer (typically after `run`, to
@@ -391,36 +386,31 @@ impl SsdSimulator {
         Ok(&self.stats)
     }
 
-    /// Preload, tenant set-up, then the serving loop: the body of
-    /// [`run`](Self::run) and [`serve`](Self::serve).
+    /// Preload, then the serving loop: the body of [`run`](Self::run)
+    /// and [`serve`](Self::serve).
     fn run_source<S: RequestSource>(
         &mut self,
         source: &mut S,
         options: &ServeOptions,
     ) -> Result<(), SimError> {
-        self.preload_pages(source.footprint_pages())?;
-        if options.tenanted() {
-            self.stats.tenants = options
-                .tenants
-                .iter()
-                .map(|qos| TenantStats::new(qos.slo_us))
-                .collect();
-            if let Some(o) = self.obs.as_mut() {
-                o.ensure_tenants(options);
-            }
-        }
+        self.preload_pages(source.footprint_pages(), options)?;
         self.serve_loop(source, options)
     }
 
     /// Writes every footprint page once (uncharged) so the device starts
     /// full, then zeroes the statistics.
     pub fn preload(&mut self, trace: &Trace) -> Result<(), SimError> {
-        self.preload_pages(trace.footprint_pages)
+        self.preload_pages(trace.footprint_pages, &ServeOptions::replay())
     }
 
     /// [`preload`](Self::preload) against a bare footprint (what request
-    /// sources report).
-    fn preload_pages(&mut self, footprint_pages: u64) -> Result<(), SimError> {
+    /// sources report), then sets up the statistics and the observer for
+    /// a run under `options`: one [`TenantStats`] per tenant.
+    fn preload_pages(
+        &mut self,
+        footprint_pages: u64,
+        options: &ServeOptions,
+    ) -> Result<(), SimError> {
         let capacity = self.ftl.logical_pages();
         if footprint_pages > capacity {
             return Err(SimError::FootprintTooLarge {
@@ -433,6 +423,11 @@ impl SsdSimulator {
             self.ftl.write(lpn, mode)?;
         }
         self.stats = SimStats::new(self.config.schedule.max_extra_levels());
+        self.stats.tenants = options
+            .tenants
+            .iter()
+            .map(|qos| TenantStats::new(qos.slo_us))
+            .collect();
         self.host_pages_written = 0;
         if let Some(faults) = self.faults.as_mut() {
             faults.reset();
@@ -445,7 +440,7 @@ impl SsdSimulator {
         self.request_cursor = 0;
         self.crash_cut = None;
         if let Some(o) = self.obs.as_mut() {
-            o.reset();
+            o.reset(options);
         }
         Ok(())
     }
@@ -676,7 +671,7 @@ impl SsdSimulator {
     ///
     /// As [`run`](Self::run).
     pub fn run_prefix(&mut self, trace: &Trace, stop: u64) -> Result<&SimStats, SimError> {
-        self.preload_pages(trace.footprint_pages)?;
+        self.preload_pages(trace.footprint_pages, &ServeOptions::replay())?;
         self.stop_after = Some(stop);
         let outcome = self.serve_loop(&mut TraceSource::new(trace), &ServeOptions::replay());
         self.stop_after = None;
@@ -810,11 +805,6 @@ impl SsdSimulator {
                     continue;
                 }
             };
-            if tenanted {
-                if let Some(o) = self.obs.as_mut() {
-                    o.set_tenant(tenant);
-                }
-            }
             let records_before = self.ftl.journal().map_or(0, <[_]>::len);
             let plan = self.serve_logical(&request, &mut ops)?;
             let channel = (request.lpn % clock.len() as u64) as usize;
@@ -823,9 +813,6 @@ impl SsdSimulator {
             backpressure.commit(tenant, (start + plan.fg).as_f64());
             let lumped = (start - arrival) + plan.fg;
             if tenanted {
-                if let Some(o) = self.obs.as_mut() {
-                    o.tenant_lumped(tenant, lumped.as_f64());
-                }
                 let t = &mut self.stats.tenants[tenant as usize];
                 t.served += 1;
                 if plan.is_read {
@@ -838,10 +825,17 @@ impl SsdSimulator {
                 tenant,
                 arrival,
                 is_read: plan.is_read,
-                obs_key: self
-                    .obs
-                    .as_mut()
-                    .map_or(0, |o| o.end_request(arrival, &ops.fg, &self.config.latency)),
+                obs_key: self.obs.as_mut().map_or(0, |o| {
+                    let tenant = tenanted.then_some(tenant);
+                    o.end_request(
+                        &request,
+                        tenant,
+                        lumped,
+                        plan.scrub,
+                        &ops.fg,
+                        &self.config.latency,
+                    )
+                }),
             };
             match scheduler.as_deref_mut() {
                 None => {
@@ -865,31 +859,17 @@ impl SsdSimulator {
     /// request's lumped response as it is admitted.
     fn record(&mut self, event: Event) {
         match event {
-            Event::Started(request, start) => {
-                if let Some(o) = self.obs.as_mut() {
-                    o.started(request.obs_key, start);
-                }
-            }
-            Event::Stage(kind, busy, wait) => {
-                self.stats.record_stage(kind, busy, wait);
-                if let Some(o) = self.obs.as_mut() {
-                    o.record_stage(kind, busy, wait);
-                }
-            }
+            Event::Started(..) => {}
+            Event::Stage(kind, busy, wait) => self.stats.record_stage(kind, busy, wait),
             Event::Finished(request, response) => {
                 self.stats.record_response(response, request.is_read);
-                let tenant = self.stats.tenants.get_mut(request.tenant as usize);
-                let tenanted = tenant.is_some();
-                if let Some(t) = tenant {
+                if let Some(t) = self.stats.tenants.get_mut(request.tenant as usize) {
                     t.record_response(response);
                 }
-                if let Some(o) = self.obs.as_mut() {
-                    o.finished(request.obs_key, response);
-                    if tenanted {
-                        o.tenant_response(request.tenant, response);
-                    }
-                }
             }
+        }
+        if let Some(o) = self.obs.as_mut() {
+            o.record(event);
         }
     }
 
@@ -910,12 +890,10 @@ impl SsdSimulator {
             fg: Micros::ZERO,
             bg: Micros::ZERO,
             is_read: request.op == IoOp::Read,
+            scrub: None,
         };
         ops.fg.clear();
         ops.bg.clear();
-        if let Some(o) = self.obs.as_mut() {
-            o.begin_request(request.lpn, plan.is_read, request.arrival_us);
-        }
         let latency = self.config.latency;
         for lpn in request.lpns() {
             let lpn = lpn % self.ftl.logical_pages();
@@ -938,7 +916,7 @@ impl SsdSimulator {
             if self.scrub_countdown >= self.config.faults.scrub_interval {
                 self.scrub_countdown = 0;
                 let bg = ops.bg.len();
-                self.patrol_scrub(&mut ops.bg)?;
+                plan.scrub = self.patrol_scrub(&mut ops.bg)?;
                 plan.bg += lumped_total(&ops.bg[bg..], &latency);
             }
         }
@@ -1005,27 +983,30 @@ impl SsdSimulator {
             }
             // ReduceCode adds its one-cycle decode to the LDPC pass; a
             // hard read of a reduced page converges in one iteration.
-            let mut plan = if required == 0 {
-                ReadPlan {
-                    levels: 0,
+            let mut read = if required == 0 {
+                FlashOp::Read {
+                    lpn,
+                    extra_levels: 0,
                     decode: self.config.latency.decode_latency(1),
                     iterations: 1,
                 }
             } else {
-                self.read_plan(required, ber)
+                self.read_plan(lpn, required, ber)
             };
-            plan.decode += self.config.latency.timing.reduce_code_cycle;
-            self.sensed_read(lpn, ber, plan, ops);
+            if let FlashOp::Read { decode, .. } = &mut read {
+                *decode += self.config.latency.timing.reduce_code_cycle;
+            }
+            self.sensed_read(ber, read, ops);
             return Ok(());
         }
 
         let ber = self.reliability.ber(CellMode::Normal, pe, age);
         let ber = self.environment_read(lpn, ber);
         let required = self.config.schedule.required_levels(ber);
-        let plan = self.read_plan(required, ber);
+        let read = self.read_plan(lpn, required, ber);
         let slot = required.min(self.config.schedule.max_extra_levels()) as usize;
         self.stats.reads_by_sensing_level[slot] += 1;
-        self.sensed_read(lpn, ber, plan, ops);
+        self.sensed_read(ber, read, ops);
 
         // AccessEval: evaluate the read and apply any migrations as
         // background work.
@@ -1044,19 +1025,16 @@ impl SsdSimulator {
         Ok(())
     }
 
-    /// The tail every sensed (non-buffered) read shares: records the
-    /// observer's sensing depth, queues the `FlashOp::Read` and applies
-    /// read faults.
-    fn sensed_read(&mut self, lpn: u64, ber: f64, plan: ReadPlan, ops: &mut OpChains) {
-        if let Some(o) = self.obs.as_mut() {
-            o.flash_read(plan.levels, plan.iterations);
+    /// The tail every sensed (non-buffered) read shares: queues its
+    /// `FlashOp::Read` and applies read faults.
+    fn sensed_read(&mut self, ber: f64, read: FlashOp, ops: &mut OpChains) {
+        ops.fg.push(read);
+        if let FlashOp::Read {
+            lpn, extra_levels, ..
+        } = read
+        {
+            self.apply_read_faults(lpn, ber, extra_levels, ops);
         }
-        ops.fg.push(FlashOp::Read {
-            lpn,
-            extra_levels: plan.levels,
-            decode: plan.decode,
-        });
-        self.apply_read_faults(lpn, ber, plan.levels, ops);
     }
 
     /// Expected decoder iterations for a read sensed with `levels` extra
@@ -1069,10 +1047,12 @@ impl SsdSimulator {
         }
     }
 
-    /// Scheme-specific cost of a normal-page read needing `required`
-    /// extra sensing levels at raw BER `ber`: the sensing levels and the
-    /// decoder-stage duration its `FlashOp::Read` carries.
-    fn read_plan(&mut self, required: u32, ber: f64) -> ReadPlan {
+    /// The `FlashOp::Read` of `lpn`, a normal-page read needing
+    /// `required` extra sensing levels at raw BER `ber`, priced by the
+    /// scheme: the sensing levels it charges, its decoder-stage duration
+    /// (including wasted progressive-sensing decode passes) and its
+    /// decoder iterations.
+    fn read_plan(&mut self, lpn: u64, required: u32, ber: f64) -> FlashOp {
         match self.config.scheme {
             Scheme::Baseline => {
                 // No optimisation: the controller provisions sensing for
@@ -1080,10 +1060,11 @@ impl SsdSimulator {
                 let worst = self.reliability.worst_case_ber(self.config.base_pe_cycles);
                 let levels = self.config.schedule.required_levels(worst);
                 let iterations = self.decode_iterations(levels, ber);
-                ReadPlan {
-                    levels,
+                FlashOp::Read {
+                    lpn,
+                    extra_levels: levels,
                     decode: self.config.latency.decode_latency(iterations),
-                    iterations,
+                    iterations: u16::try_from(iterations).unwrap_or(u16::MAX),
                 }
             }
             _ => {
@@ -1095,10 +1076,11 @@ impl SsdSimulator {
                 // pays a decode pass, which lands on the decoder stage.
                 let iterations = self.decode_iterations(required, ber);
                 let decode = self.config.latency.decode_latency(iterations);
-                ReadPlan {
-                    levels: required,
+                FlashOp::Read {
+                    lpn,
+                    extra_levels: required,
                     decode: decode + decode * required as f64 * 0.5,
-                    iterations,
+                    iterations: u16::try_from(iterations).unwrap_or(u16::MAX),
                 }
             }
         }
@@ -1149,9 +1131,6 @@ impl SsdSimulator {
             self.stats.die_resets += 1;
             let reset = Micros(cfg.die_reset_us);
             self.stats.recovery_latency_us += reset.as_f64();
-            if let Some(o) = self.obs.as_mut() {
-                o.die_reset(lpn);
-            }
             ops.fg.push(FlashOp::DieReset {
                 lpn,
                 duration: reset,
@@ -1159,9 +1138,6 @@ impl SsdSimulator {
         }
         if u >= fer0 {
             self.stats.record_retry_depth(0);
-            if let Some(o) = self.obs.as_mut() {
-                o.retry(lpn, 0, true);
-            }
             return;
         }
         let outcome = recovery::resolve(
@@ -1173,12 +1149,13 @@ impl SsdSimulator {
             cfg.escalate_fer_factor,
             cfg.final_fer_factor,
         );
-        for rung in &outcome.rungs {
+        for (i, rung) in outcome.rungs.iter().enumerate() {
             let iterations = self.decode_iterations(rung.levels, ber);
             let attempt = FlashOp::Retry {
                 lpn,
                 extra_levels: rung.levels,
                 decode: self.config.latency.decode_latency(iterations),
+                decoded: outcome.recovered && i + 1 == outcome.depth(),
             };
             self.stats.recovery_latency_us += attempt.lumped(&self.config.latency).as_f64();
             self.stats.flash_reads += 1;
@@ -1186,9 +1163,6 @@ impl SsdSimulator {
             ops.fg.push(attempt);
         }
         self.stats.record_retry_depth(outcome.depth());
-        if let Some(o) = self.obs.as_mut() {
-            o.retry(lpn, outcome.depth(), outcome.recovered);
-        }
         if outcome.recovered {
             self.stats.recovered_reads += 1;
         } else {
@@ -1228,8 +1202,9 @@ impl SsdSimulator {
     /// non-retired block in round-robin order, refreshing (rewriting in
     /// place, age reset) any page whose modeled retention BER has crossed
     /// the refresh threshold. Runs as background work, so scrub traffic
-    /// competes with host I/O exactly like GC does.
-    fn patrol_scrub(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), SimError> {
+    /// competes with host I/O exactly like GC does. Returns the visit, or
+    /// `None` when no block holds live data.
+    fn patrol_scrub(&mut self, ops: &mut Vec<FlashOp>) -> Result<Option<ScrubVisit>, SimError> {
         let blocks = self.ftl.geometry().blocks();
         let mut target = None;
         for _ in 0..blocks {
@@ -1246,14 +1221,17 @@ impl SsdSimulator {
             break;
         }
         let Some((block, lpns)) = target else {
-            return Ok(());
+            return Ok(None);
         };
         self.stats.scrub_runs += 1;
         let threshold = self.config.faults.scrub_refresh_ber;
-        let mut visit_reads = 0u32;
-        let mut visit_refreshes = 0u32;
+        let mut visit = ScrubVisit {
+            block,
+            reads: 0,
+            refreshes: 0,
+        };
         for lpn in lpns {
-            visit_reads += 1;
+            visit.reads += 1;
             self.stats.scrub_reads += 1;
             self.stats.flash_reads += 1;
             ops.push(FlashOp::GcRead { lpn });
@@ -1267,7 +1245,7 @@ impl SsdSimulator {
             // disturb-elevated BER is exactly what it exists to catch.
             let ber = self.environment_read(lpn, ber);
             if ber >= threshold {
-                visit_refreshes += 1;
+                visit.refreshes += 1;
                 self.stats.scrub_refreshes += 1;
                 self.reliability.refresh(lpn);
                 self.environment_program(lpn);
@@ -1275,10 +1253,7 @@ impl SsdSimulator {
                 self.account(cost, lpn, ops);
             }
         }
-        if let Some(o) = self.obs.as_mut() {
-            o.scrub(block.0 as u64, visit_reads, visit_refreshes);
-        }
-        Ok(())
+        Ok(Some(visit))
     }
 
     /// Which mode a (re)written page should land in.

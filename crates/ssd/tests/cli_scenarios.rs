@@ -203,3 +203,23 @@ fn failed_crash_recovery_exits_three() {
     assert_eq!(code, Some(3), "failed recovery audit:\n{stderr}");
     assert!(stderr.contains("crash recovery failed"), "{stderr}");
 }
+
+#[test]
+fn crash_image_that_does_not_restore_exits_one() {
+    // The image is restored before its journal is replayed, so a
+    // checkpoint that fails to restore is a typed image error even when
+    // the journal would also fail its audit.
+    let (code, stderr) = restore_forged("unrestorable", |image| {
+        let ftl = &mut image.ftl;
+        let written = (0..ftl.blocks)
+            .find(|&b| ftl.block_states[b as usize].frontier > 0 && !ftl.free.contains(&b))
+            .expect("the prefix wrote a block");
+        ftl.free.push(written);
+        image.journal.push(ssd::JournalRecord::Erase {
+            block: flash_model::BlockId(u32::MAX),
+        });
+        image.crashed_at = Some(image.request_cursor);
+    });
+    assert_eq!(code, Some(1), "typed image error:\n{stderr}");
+    assert!(stderr.contains("is not erased"), "{stderr}");
+}

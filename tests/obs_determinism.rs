@@ -410,6 +410,12 @@ fn assert_responses_match(stats: &SimStats, recorder: &Recorder, model: TimingMo
 /// where the previous one ended. The hostile preset with a raised
 /// die-fault rate puts buffer hits, sensed and reduced reads, retry
 /// rungs and die resets into the spans of all four schemes.
+///
+/// The facts the observer reads off the chains also reconcile with the
+/// `SimStats` counters the logical layer keeps: one span per host read,
+/// span retry rungs against retry reads, one sensing-depth observation
+/// per flash-served host read, the retry-depth histogram bin for bin,
+/// and one instant event per die reset, ladder climb and scrub visit.
 #[test]
 fn single_queue_spans_conserve_response_time_under_hostile() {
     let trace = fixture_trace();
@@ -420,16 +426,18 @@ fn single_queue_spans_conserve_response_time_under_hostile() {
         let mut config = spec.apply(config_for(scheme, TimingModel::SingleQueue));
         config.faults = config.faults.with_die_fault_prob(2e-3);
         let mut sim = SsdSimulator::new(config).with_observer(SimObserver::new(scheme, 0));
-        reduced_reads += sim
+        let stats = sim
             .run(&trace)
             .unwrap_or_else(|e| panic!("{} failed: {e}", scheme.label()))
-            .reduced_reads;
+            .clone();
+        reduced_reads += stats.reduced_reads;
         let recorder = sim.take_observer().expect("observer").into_recorder();
         assert!(
             !recorder.spans.spans().is_empty(),
             "{}: no spans",
             scheme.label()
         );
+        assert_read_facts_reconcile(scheme, &stats, &recorder);
         for span in recorder.spans.spans() {
             let mut service = 0.0;
             for stage in &span.stages {
@@ -450,4 +458,152 @@ fn single_queue_spans_conserve_response_time_under_hostile() {
     let expected = ["decode", "die_reset", "retry", "sense", "transfer"];
     assert_eq!(labels.into_iter().collect::<Vec<_>>(), expected);
     assert!(reduced_reads > 0, "no reduced reads");
+}
+
+/// The observer's read facts of one unsampled run equal the `SimStats`
+/// counters of the same facts.
+fn assert_read_facts_reconcile(scheme: Scheme, stats: &SimStats, recorder: &Recorder) {
+    let label = scheme.label();
+    let spans = recorder.spans.spans();
+    assert_eq!(spans.len() as u64, stats.host_reads, "{label}: spans");
+    let rungs: u64 = spans.iter().map(|s| u64::from(s.retry_rungs)).sum();
+    assert_eq!(rungs, stats.retry_reads, "{label}: retry rungs");
+    let histogram = |name: &str| {
+        recorder
+            .metrics
+            .find_histogram(name, &[("scheme", label)])
+            .unwrap_or_else(|| panic!("{label}: {name} missing"))
+    };
+    let sensed: u64 = stats.reads_by_sensing_level.iter().sum();
+    assert_eq!(
+        histogram("flexlevel_sensing_levels").count(),
+        sensed + stats.reduced_reads,
+        "{label}: sensing observations"
+    );
+    let depths = &stats.retry_depth_histogram;
+    let depth_sum: u64 = depths.iter().enumerate().map(|(d, &n)| d as u64 * n).sum();
+    let retry_depth = histogram("flexlevel_retry_depth");
+    assert_eq!(
+        (retry_depth.count(), retry_depth.sum()),
+        (depths.iter().sum::<u64>(), depth_sum as f64),
+        "{label}: retry depths"
+    );
+    let (mut die_resets, mut climbs, mut scrubs) = (0, 0, 0);
+    for event in recorder.spans.events() {
+        match event.kind {
+            obs::EventKind::DieReset => die_resets += 1,
+            obs::EventKind::Retry { .. } => climbs += 1,
+            obs::EventKind::Scrub { .. } => scrubs += 1,
+        }
+    }
+    assert_eq!(
+        recorder.spans.events().len() as u64,
+        recorder.spans.events_offered(),
+        "{label}: events sampled away"
+    );
+    assert_eq!(die_resets, stats.die_resets, "{label}: die-reset events");
+    assert_eq!(
+        climbs,
+        depths[1..].iter().sum::<u64>(),
+        "{label}: retry events"
+    );
+    assert_eq!(scrubs, stats.scrub_runs, "{label}: scrub events");
+    assert!(
+        die_resets > 0 && climbs > 0 && scrubs > 0,
+        "{label}: no events"
+    );
+}
+
+/// FNV-1a 64 of one export's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digests of the four text exports of one recorder: Prometheus, full
+/// Chrome trace, span JSONL and series JSONL.
+fn export_digests(recorder: &Recorder) -> [u64; 4] {
+    [
+        fnv1a(&export::prometheus(&recorder.metrics)),
+        fnv1a(&export::chrome_trace_full(
+            &recorder.spans,
+            &recorder.series,
+        )),
+        fnv1a(&export::span_jsonl(&recorder.spans)),
+        fnv1a(&export::series_jsonl(&recorder.series)),
+    ]
+}
+
+/// The determinism tests compare exports with each other; this pins
+/// their bytes (FNV-1a), so a change to what the observer records — or
+/// to the order it offers spans and instant events to the sampling
+/// reservoirs — fails here. Cases: a hostile FlexLevel replay under each
+/// timing backend, and a hostile two-tenant pipelined serve with SLO
+/// targets and deferrals. The single-queue replay keeps every span and
+/// event, so the order events are offered within one request shows in
+/// their sequence numbers; the others sample down to 50, so offer order
+/// decides which survive.
+#[test]
+fn exports_are_pinned_by_digest() {
+    let scheme = Scheme::FlexLevel;
+    let trace = fixture_trace();
+    let spec = ScenarioSpec::find("hostile").expect("preset registered");
+    let observer = |sample| SimObserver::new(scheme, sample).with_series(SERIES_INTERVAL_US);
+    let mut digests = Vec::new();
+    for (model, sample) in [(TimingModel::SingleQueue, 0), (TimingModel::Pipelined, 50)] {
+        let mut config = spec.apply(config_for(scheme, model));
+        config.faults = config.faults.with_die_fault_prob(2e-3);
+        let mut sim = SsdSimulator::new(config).with_observer(observer(sample));
+        sim.run(&trace)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", model.label()));
+        let recorder = sim.take_observer().expect("observer").into_recorder();
+        assert!(recorder.spans.events_offered() > 50, "{}", model.label());
+        digests.push(export_digests(&recorder));
+    }
+    let config = spec.apply(config_for(scheme, TimingModel::Pipelined));
+    let mut sim = SsdSimulator::new(config).with_observer(observer(50));
+    let tenants = vec![
+        TenantWorkload::new(0, 1_024, 2_000.0).with_requests(1_500),
+        TenantWorkload::new(1_024, 1_024, 6_000.0).with_requests(1_500),
+    ];
+    let qos = TenantQos::default()
+        .with_queue_depth(4)
+        .with_policy(OverloadPolicy::Defer)
+        .with_slo_us(2_000.0);
+    sim.serve(
+        &mut OpenLoopSource::new(tenants, 5),
+        &ServeOptions::uniform(2, qos),
+    )
+    .expect("serving run succeeds");
+    assert!(sim.stats().tenants.iter().all(|t| t.deferred > 0));
+    let recorder = sim.take_observer().expect("observer").into_recorder();
+    assert!(recorder.spans.events_offered() > 50, "serve");
+    digests.push(export_digests(&recorder));
+    // Prometheus, Chrome trace, span JSONL, series JSONL per case. The
+    // replays share a series: it samples logical counters only.
+    assert_eq!(
+        digests,
+        [
+            [
+                0x3e81_0553_eb65_3eed,
+                0x7e95_5aaf_e121_7312,
+                0xa926_389f_88e1_07a7,
+                0x217d_0641_435c_21a6,
+            ],
+            [
+                0x05be_f08d_2f20_e07d,
+                0x4465_6fca_0eeb_57b3,
+                0xf29d_55ac_bfc5_1b9e,
+                0x217d_0641_435c_21a6,
+            ],
+            [
+                0xf6d1_ae5f_774e_47c4,
+                0x541e_681f_803b_9035,
+                0x00f1_4690_453e_b592,
+                0x4784_c988_fec1_09d2,
+            ],
+        ],
+        "export bytes moved"
+    );
 }
