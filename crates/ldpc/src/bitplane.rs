@@ -29,7 +29,7 @@
 //! ever mixes lanes.
 
 use crate::decoder::DecoderGraph;
-use crate::quantized::{DecoderWorkspace, Schedule, Q_MAX};
+use crate::quantized::{grow, DecoderWorkspace, Schedule, Q_MAX};
 
 /// Codeword lanes per plane word.
 pub const LANES: usize = 64;
@@ -86,9 +86,11 @@ pub fn untranspose64(planes: &[u64; 8]) -> [u8; 64] {
 
 /// Plane-domain buffer arena of the bit-plane kernels, embedded in
 /// [`DecoderWorkspace`]. Sized per 64-lane group (independent of the
-/// batch width) and grown lazily like the rest of the workspace.
+/// batch width) and grown lazily like the rest of the workspace; each
+/// schedule sizes only its own planes.
 #[derive(Debug, Default)]
 pub(crate) struct PlaneBuffers {
+    /// Flooding-only: the variable-to-check messages.
     v2c_sign: Vec<u64>,
     v2c_mag: Vec<u64>,
     c2v_sign: Vec<u64>,
@@ -97,32 +99,35 @@ pub(crate) struct PlaneBuffers {
     ch_mag: Vec<u64>,
     hard: Vec<u64>,
     hard_out: Vec<u64>,
-    /// Layered posterior, `w` two's-complement planes per bit.
+    /// Layered-only: the posterior, `w` two's-complement planes per bit.
     post: Vec<u64>,
-    /// Layered per-check scratch: saturated v2c of the current row.
+    /// Layered-only per-check scratch: saturated v2c of the current row.
     vrow_sign: Vec<u64>,
     vrow_mag: Vec<u64>,
 }
 
-fn grow(buf: &mut Vec<u64>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-}
-
 impl PlaneBuffers {
-    fn ensure(&mut self, edges: usize, bits: usize, w: usize, max_check_degree: usize) {
-        grow(&mut self.v2c_sign, edges);
-        grow(&mut self.v2c_mag, edges * MAG_PLANES);
+    fn ensure(&mut self, graph: &DecoderGraph, w: usize, schedule: Schedule) {
+        let edges = graph.edge_count();
+        let bits = graph.bit_count();
         grow(&mut self.c2v_sign, edges);
         grow(&mut self.c2v_mag, edges * MAG_PLANES);
         grow(&mut self.ch_sign, bits);
         grow(&mut self.ch_mag, bits * MAG_PLANES);
         grow(&mut self.hard, bits);
         grow(&mut self.hard_out, bits);
-        grow(&mut self.post, bits * w);
-        grow(&mut self.vrow_sign, max_check_degree);
-        grow(&mut self.vrow_mag, max_check_degree * MAG_PLANES);
+        match schedule {
+            Schedule::Flooding => {
+                grow(&mut self.v2c_sign, edges);
+                grow(&mut self.v2c_mag, edges * MAG_PLANES);
+            }
+            Schedule::Layered => {
+                let max_check_degree = graph.max_check_degree();
+                grow(&mut self.post, bits * w);
+                grow(&mut self.vrow_sign, max_check_degree);
+                grow(&mut self.vrow_mag, max_check_degree * MAG_PLANES);
+            }
+        }
     }
 }
 
@@ -290,12 +295,7 @@ fn decode_batch_w<const W: usize>(
     schedule: Schedule,
     ws: &mut DecoderWorkspace,
 ) {
-    let max_deg = match schedule {
-        Schedule::Flooding => 0,
-        Schedule::Layered => graph.max_check_degree(),
-    };
-    ws.bp
-        .ensure(graph.edge_count(), graph.bit_count(), W, max_deg);
+    ws.bp.ensure(graph, W, schedule);
     let DecoderWorkspace {
         bp,
         hard_out,
@@ -583,6 +583,49 @@ fn layered_sweep<const W: usize>(graph: &DecoderGraph, bp: &mut PlaneBuffers) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::QcLdpcCode;
+    use crate::quantized::{LlrQuantizer, QuantizedMinSumDecoder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A fresh workspace after one 64-lane bit-plane decode of noisy
+    /// all-zero codewords under `schedule`.
+    fn workspace_after_bitplane_decode(schedule: Schedule) -> DecoderWorkspace {
+        let graph = DecoderGraph::new(&QcLdpcCode::small_test_code());
+        let q = LlrQuantizer::default();
+        let mut rng = StdRng::seed_from_u64(9);
+        let qllrs: Vec<i8> = (0..graph.bit_count() * LANES)
+            .map(|_| q.quantize(if rng.gen_bool(0.02) { -4.0 } else { 4.0 }))
+            .collect();
+        let mut ws = DecoderWorkspace::new();
+        let _ = QuantizedMinSumDecoder::new()
+            .with_schedule(schedule)
+            .decode_batch(&graph, &qllrs, LANES, &mut ws);
+        ws
+    }
+
+    #[test]
+    fn bitplane_decode_leaves_i8_buffers_empty() {
+        for schedule in [Schedule::Flooding, Schedule::Layered] {
+            let ws = workspace_after_bitplane_decode(schedule);
+            assert!(ws.q_v2c.is_empty(), "{schedule:?}: q_v2c sized");
+            assert!(ws.q_c2v.is_empty(), "{schedule:?}: q_c2v sized");
+            assert!(ws.hard.is_empty(), "{schedule:?}: hard sized");
+            assert!(ws.q_post.is_empty(), "{schedule:?}: q_post sized");
+            assert!(!ws.hard_out.is_empty() && !ws.bp.c2v_mag.is_empty());
+        }
+    }
+
+    #[test]
+    fn bitplane_schedules_size_only_their_planes() {
+        let layered = workspace_after_bitplane_decode(Schedule::Layered);
+        assert!(layered.bp.v2c_sign.is_empty() && layered.bp.v2c_mag.is_empty());
+        assert!(!layered.bp.post.is_empty());
+        let flooding = workspace_after_bitplane_decode(Schedule::Flooding);
+        assert!(flooding.bp.post.is_empty());
+        assert!(flooding.bp.vrow_sign.is_empty() && flooding.bp.vrow_mag.is_empty());
+        assert!(!flooding.bp.v2c_mag.is_empty());
+    }
 
     /// Reference transpose: bit `k` of lane `j` → bit `j` of plane `k`.
     fn naive_transpose(bytes: &[u8; 64]) -> [u64; 8] {

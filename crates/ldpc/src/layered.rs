@@ -6,17 +6,16 @@
 //! codes this typically halves the iterations to convergence — which in a
 //! NAND controller halves the decode stage of the read latency — at
 //! identical error-rate performance. The schedule ships as the 6-bit
-//! [`Schedule::Layered`](crate::quantized::Schedule::Layered) of the
-//! quantized decoder; this module holds its `i8` reference kernel, and
-//! the f32 flooding [`MinSumDecoder`](crate::decoder::MinSumDecoder)
-//! stays the reference it is tested against.
+//! [`Schedule::Layered`] of the quantized decoder; this module holds its
+//! `i8` reference kernel, and the f32 flooding
+//! [`MinSumDecoder`](crate::decoder::MinSumDecoder) stays the reference
+//! it is tested against.
 
 use crate::decoder::DecoderGraph;
-use crate::quantized::{finish_failed, freeze_lanes, DecoderWorkspace, Q_MAX};
+use crate::quantized::{finish_failed, freeze_lanes, DecoderWorkspace, Schedule, Q_MAX};
 
 /// Layered (row-staggered) schedule for the quantized batch decoder: the
-/// `i8` structure-of-arrays reference kernel behind
-/// [`Schedule::Layered`](crate::quantized::Schedule::Layered).
+/// `i8` structure-of-arrays reference kernel behind [`Schedule::Layered`].
 ///
 /// State per lane is the `i16` posterior (bounded by ±(Q_MAX + 23), far
 /// from overflow) plus the last `i8` c2v per edge. Each check recovers
@@ -34,7 +33,7 @@ pub(crate) fn decode_batch_layered_i8(
 ) {
     let n = graph.bit_count();
     let edges = graph.edge_count();
-    ws.ensure_layered(n, batch, graph.max_check_degree());
+    ws.ensure_i8(graph, batch, Schedule::Layered);
     let DecoderWorkspace {
         q_c2v,
         q_post,

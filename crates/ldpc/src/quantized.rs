@@ -124,31 +124,36 @@ impl Default for LlrQuantizer {
 ///
 /// All decode entry points size the arena lazily on first use and then
 /// only ever reuse it, so a warm workspace makes decoding allocation-free.
-/// One workspace serves any mix of codes, batch sizes and decoders (it
-/// grows to the largest seen); it is `Send`, so each Monte-Carlo shard
-/// owns one.
+/// Each kernel sizes only the buffers it touches: the bit-plane kernel
+/// its planes plus the byte outcome arrays [`BatchOutcome`] reads, the
+/// `i8` kernels their structure-of-arrays state for their schedule. One
+/// workspace serves any mix of codes, batch sizes, schedules and kernels
+/// (each buffer grows to the largest request that used it); it is
+/// `Send`, so each Monte-Carlo shard owns one.
 #[derive(Debug, Default)]
 pub struct DecoderWorkspace {
     // Quantized batch state, structure-of-arrays with lane stride = batch.
+    // `q_v2c` and `q_total` are flooding-only.
     pub(crate) q_v2c: Vec<i8>,
     pub(crate) q_c2v: Vec<i8>,
     pub(crate) q_total: Vec<i16>,
     pub(crate) hard: Vec<u8>,
-    pub(crate) hard_out: Vec<u8>,
     // Per-lane check-node scratch.
     pub(crate) min1: Vec<i16>,
     pub(crate) min2: Vec<i16>,
     pub(crate) sign: Vec<u8>,
     pub(crate) parity: Vec<u8>,
     pub(crate) unsat: Vec<u8>,
-    // Per-lane outcome state.
     pub(crate) done: Vec<u8>,
-    pub(crate) success: Vec<u8>,
-    pub(crate) iterations: Vec<u32>,
     // Layered-schedule state: i16 posteriors plus a per-check row of
     // saturated variable-to-check messages.
     pub(crate) q_post: Vec<i16>,
     pub(crate) q_vrow: Vec<i8>,
+    // Per-lane outcomes, written by every kernel and read by
+    // `BatchOutcome`.
+    pub(crate) hard_out: Vec<u8>,
+    pub(crate) success: Vec<u8>,
+    pub(crate) iterations: Vec<u32>,
     // Bit-plane kernel state (u64 planes, 64 lanes per word).
     pub(crate) bp: crate::bitplane::PlaneBuffers,
     // f32 scalar state for `MinSumDecoder::decode_with`.
@@ -158,7 +163,7 @@ pub struct DecoderWorkspace {
     hard_f: Vec<u8>,
 }
 
-fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+pub(crate) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
     if buf.len() < len {
         buf.resize(len, T::default());
     }
@@ -170,25 +175,35 @@ impl DecoderWorkspace {
         DecoderWorkspace::default()
     }
 
-    fn ensure_batch(&mut self, edges: usize, bits: usize, batch: usize) {
-        grow(&mut self.q_v2c, edges * batch);
-        grow(&mut self.q_c2v, edges * batch);
-        grow(&mut self.q_total, batch);
-        grow(&mut self.hard, bits * batch);
+    /// Sizes the per-lane outcome arrays every kernel writes.
+    fn ensure_outcomes(&mut self, bits: usize, batch: usize) {
         grow(&mut self.hard_out, bits * batch);
+        grow(&mut self.success, batch);
+        grow(&mut self.iterations, batch);
+    }
+
+    /// Sizes the `i8` structure-of-arrays state of `schedule`'s kernel.
+    pub(crate) fn ensure_i8(&mut self, graph: &DecoderGraph, batch: usize, schedule: Schedule) {
+        let bits = graph.bit_count();
+        let edges = graph.edge_count();
+        grow(&mut self.q_c2v, edges * batch);
+        grow(&mut self.hard, bits * batch);
         grow(&mut self.min1, batch);
         grow(&mut self.min2, batch);
         grow(&mut self.sign, batch);
         grow(&mut self.parity, batch);
         grow(&mut self.unsat, batch);
         grow(&mut self.done, batch);
-        grow(&mut self.success, batch);
-        grow(&mut self.iterations, batch);
-    }
-
-    pub(crate) fn ensure_layered(&mut self, bits: usize, batch: usize, max_check_degree: usize) {
-        grow(&mut self.q_post, bits * batch);
-        grow(&mut self.q_vrow, max_check_degree * batch);
+        match schedule {
+            Schedule::Flooding => {
+                grow(&mut self.q_v2c, edges * batch);
+                grow(&mut self.q_total, batch);
+            }
+            Schedule::Layered => {
+                grow(&mut self.q_post, bits * batch);
+                grow(&mut self.q_vrow, graph.max_check_degree() * batch);
+            }
+        }
     }
 
     pub(crate) fn ensure_scalar_f32(&mut self, edges: usize, bits: usize) {
@@ -365,13 +380,12 @@ impl QuantizedMinSumDecoder {
     ) -> BatchOutcome<'w> {
         assert!(batch > 0, "batch must be non-empty");
         let n = graph.bit_count();
-        let edges = graph.edge_count();
         assert_eq!(
             qllrs.len(),
             n * batch,
             "LLR length must match codeword length times batch"
         );
-        ws.ensure_batch(edges, n, batch);
+        ws.ensure_outcomes(n, batch);
         // The bit-plane kernel stores magnitudes in five planes, so it
         // requires the ±Q_MAX domain the quantizer produces; raw caller
         // inputs outside it fall back to the full-range reference kernel.
@@ -426,6 +440,7 @@ impl QuantizedMinSumDecoder {
     ) {
         let n = graph.bit_count();
         let edges = graph.edge_count();
+        ws.ensure_i8(graph, batch, Schedule::Flooding);
         // Exact-length local slices: every lane loop below runs over
         // equal-length slices via `zip`, which compiles to branch-free,
         // bounds-check-free code that auto-vectorizes across the batch.
@@ -804,6 +819,77 @@ mod tests {
         assert!(out.success(0));
         assert_eq!(out.iterations(0), 1);
         assert!(out.iterations(1) >= out.iterations(0));
+    }
+
+    #[test]
+    fn i8_kernels_size_only_their_schedule_state() {
+        let code = QcLdpcCode::small_test_code();
+        let graph = DecoderGraph::new(&code);
+        let mut rng = StdRng::seed_from_u64(8);
+        let qllrs: Vec<i8> = (0..code.codeword_bits() * 7)
+            .map(|_| if rng.gen_bool(0.02) { -8 } else { 8 })
+            .collect();
+        let i8_decode = |schedule| {
+            let mut ws = DecoderWorkspace::new();
+            let _ = QuantizedMinSumDecoder::new()
+                .with_kernel(DecodeKernel::I8Soa)
+                .with_schedule(schedule)
+                .decode_batch(&graph, &qllrs, 7, &mut ws);
+            ws
+        };
+        let layered = i8_decode(Schedule::Layered);
+        assert!(layered.q_v2c.is_empty() && layered.q_total.is_empty());
+        assert!(!layered.q_post.is_empty() && !layered.q_c2v.is_empty());
+        let flooding = i8_decode(Schedule::Flooding);
+        assert!(flooding.q_post.is_empty() && flooding.q_vrow.is_empty());
+        assert!(!flooding.q_v2c.is_empty() && !flooding.q_c2v.is_empty());
+    }
+
+    #[test]
+    fn one_workspace_across_kernels_schedules_and_widths_matches_fresh_ones() {
+        // Each kernel sizes only its own buffers, so a reused workspace
+        // carries stale state of other shapes between calls; outcomes
+        // must still equal a fresh workspace's, lane for lane.
+        let code = QcLdpcCode::small_test_code();
+        let graph = DecoderGraph::new(&code);
+        let n = code.codeword_bits();
+        let mut rng = StdRng::seed_from_u64(10);
+        let runs = [
+            (DecodeKernel::BitPlane, Schedule::Flooding, 64),
+            (DecodeKernel::I8Soa, Schedule::Layered, 7),
+            (DecodeKernel::BitPlane, Schedule::Layered, 128),
+            (DecodeKernel::I8Soa, Schedule::Flooding, 1),
+            (DecodeKernel::BitPlane, Schedule::Flooding, 100),
+            (DecodeKernel::I8Soa, Schedule::Layered, 64),
+            (DecodeKernel::BitPlane, Schedule::Layered, 64),
+            (DecodeKernel::I8Soa, Schedule::Flooding, 70),
+        ];
+        let mut reused = DecoderWorkspace::new();
+        for (kernel, schedule, batch) in runs {
+            let mut soa = vec![0i8; n * batch];
+            for lane in 0..batch {
+                let cw = encode(&code, &random_info(&code, &mut rng)).unwrap();
+                let frame = bsc_qllrs(&cw, 0.03, 4.0, &mut rng);
+                for (bit, &q) in frame.iter().enumerate() {
+                    soa[bit * batch + lane] = q;
+                }
+            }
+            let decoder = QuantizedMinSumDecoder::new()
+                .with_kernel(kernel)
+                .with_schedule(schedule);
+            let outcomes = |ws: &mut DecoderWorkspace| {
+                let out = decoder.decode_batch(&graph, &soa, batch, ws);
+                (0..batch)
+                    .map(|lane| out.lane_outcome(lane))
+                    .collect::<Vec<_>>()
+            };
+            let want = outcomes(&mut DecoderWorkspace::new());
+            assert_eq!(
+                outcomes(&mut reused),
+                want,
+                "{kernel:?} {schedule:?} batch {batch}"
+            );
+        }
     }
 
     #[test]

@@ -13,29 +13,65 @@ use crate::span::{EventKind, ReadSpan, SpanBuffer, TraceEvent};
 use crate::timeseries::SeriesBlock;
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON or Prometheus quoted value.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
+/// Appends `s` to `out`, escaped for a JSON or Prometheus quoted value:
+/// `"`, `\` and newline are backslash-escaped, everything else passes
+/// through.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['"', '\\', '\n']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            _ => "\\n",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
-fn label_block(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
+/// Appends `sep` unless `out` still ends with `open`, the token that
+/// opened the enclosing list — i.e. before every element but the first.
+/// No element ends with its list's opening token, so the test is exact.
+fn push_separator(out: &mut String, open: &str, sep: &str) {
+    if !out.ends_with(open) {
+        out.push_str(sep);
     }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+}
+
+/// Appends `k="v"` pairs, values escaped, comma-separated.
+fn push_label_pairs(out: &mut String, labels: &[(String, String)]) {
+    for (k, v) in labels {
+        push_separator(out, "{", ",");
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
+    }
+}
+
+/// Appends the Prometheus label block `{k="v",...}`; nothing when there
+/// are no labels.
+fn push_labels(out: &mut String, labels: &[(String, String)]) {
+    if labels.is_empty() {
+        return;
+    }
+    out.push('{');
+    push_label_pairs(out, labels);
+    out.push('}');
+}
+
+/// Appends a histogram bucket's label block: the series labels plus
+/// `le="<upper>"` (`+Inf` for the unbounded bucket).
+fn push_bucket_labels(out: &mut String, labels: &[(String, String)], upper: f64) {
+    out.push('{');
+    push_label_pairs(out, labels);
+    push_separator(out, "{", ",");
+    if upper.is_finite() {
+        let _ = write!(out, "le=\"{upper}\"}}");
+    } else {
+        out.push_str("le=\"+Inf\"}");
+    }
 }
 
 /// The distinct family names of `metas`, in first-appearance order.
@@ -74,7 +110,9 @@ pub fn prometheus(registry: &Registry) -> String {
             if i == 0 {
                 header(&mut out, &meta.name, &meta.help, "counter");
             }
-            let _ = writeln!(out, "{}{} {value}", meta.name, label_block(&meta.labels));
+            out.push_str(&meta.name);
+            push_labels(&mut out, &meta.labels);
+            let _ = writeln!(out, " {value}");
         }
     }
     let gauges: Vec<_> = registry.gauges().collect();
@@ -83,7 +121,9 @@ pub fn prometheus(registry: &Registry) -> String {
             if i == 0 {
                 header(&mut out, &meta.name, &meta.help, "gauge");
             }
-            let _ = writeln!(out, "{}{} {value}", meta.name, label_block(&meta.labels));
+            out.push_str(&meta.name);
+            push_labels(&mut out, &meta.labels);
+            let _ = writeln!(out, " {value}");
         }
     }
     let histograms: Vec<_> = registry.histograms().collect();
@@ -100,78 +140,41 @@ pub fn prometheus(registry: &Registry) -> String {
             for (index, count) in hist.nonzero_buckets() {
                 cumulative += count;
                 let (_, upper) = Histogram::bucket_bounds(index);
-                let le = if upper.is_finite() {
-                    format!("{upper}")
-                } else {
-                    "+Inf".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {cumulative}",
-                    meta.name,
-                    bucket_labels(&meta.labels, &le)
-                );
+                let _ = write!(out, "{}_bucket", meta.name);
+                push_bucket_labels(&mut out, &meta.labels, upper);
+                let _ = writeln!(out, " {cumulative}");
             }
             if hist.bucket_count(crate::hist::NUM_BUCKETS - 1) == 0 {
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {cumulative}",
-                    meta.name,
-                    bucket_labels(&meta.labels, "+Inf")
-                );
+                let _ = write!(out, "{}_bucket", meta.name);
+                push_bucket_labels(&mut out, &meta.labels, f64::INFINITY);
+                let _ = writeln!(out, " {cumulative}");
             }
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                meta.name,
-                label_block(&meta.labels),
-                hist.sum()
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                meta.name,
-                label_block(&meta.labels),
-                hist.count()
-            );
+            let _ = write!(out, "{}_sum", meta.name);
+            push_labels(&mut out, &meta.labels);
+            let _ = writeln!(out, " {}", hist.sum());
+            let _ = write!(out, "{}_count", meta.name);
+            push_labels(&mut out, &meta.labels);
+            let _ = writeln!(out, " {}", hist.count());
         }
     }
     out
 }
 
-fn bucket_labels(labels: &[(String, String)], le: &str) -> String {
-    let mut all: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
-        .collect();
-    all.push(format!("le=\"{le}\""));
-    format!("{{{}}}", all.join(","))
-}
-
-fn span_json(span: &ReadSpan) -> String {
-    let mut stages = String::new();
-    for (i, stage) in span.stages.iter().enumerate() {
-        if i > 0 {
-            stages.push(',');
-        }
-        let _ = write!(
-            stages,
-            "{{\"stage\":\"{}\",\"offset_us\":{},\"duration_us\":{}}}",
-            escape(stage.stage),
-            stage.offset_us,
-            stage.duration_us
-        );
-    }
-    format!(
+/// Appends one span as a JSON object (no trailing newline).
+fn push_span(out: &mut String, span: &ReadSpan) {
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"lpn\":{},\"scheme\":\"",
+        span.seq, span.lpn
+    );
+    push_escaped(out, span.scheme);
+    let _ = write!(
+        out,
         concat!(
-            "{{\"seq\":{},\"lpn\":{},\"scheme\":\"{}\",\"tenant\":{},\"arrival_us\":{},",
-            "\"start_us\":{},\"response_us\":{},\"sensing_levels\":{},",
-            "\"decode_iterations\":{},\"retry_rungs\":{},\"outcome\":\"{}\",",
-            "\"stages\":[{}]}}"
+            "\",\"tenant\":{},\"arrival_us\":{},\"start_us\":{},\"response_us\":{},",
+            "\"sensing_levels\":{},\"decode_iterations\":{},\"retry_rungs\":{},",
+            "\"outcome\":\"{}\",\"stages\":["
         ),
-        span.seq,
-        span.lpn,
-        escape(span.scheme),
         span.tenant,
         span.arrival_us,
         span.start_us,
@@ -180,8 +183,18 @@ fn span_json(span: &ReadSpan) -> String {
         span.decode_iterations,
         span.retry_rungs,
         span.outcome.label(),
-        stages
-    )
+    );
+    for stage in &span.stages {
+        push_separator(out, "[", ",");
+        out.push_str("{\"stage\":\"");
+        push_escaped(out, stage.stage);
+        let _ = write!(
+            out,
+            "\",\"offset_us\":{},\"duration_us\":{}}}",
+            stage.offset_us, stage.duration_us
+        );
+    }
+    out.push_str("]}");
 }
 
 /// Renders the buffer as JSONL: one span object per line, in canonical
@@ -189,33 +202,47 @@ fn span_json(span: &ReadSpan) -> String {
 pub fn span_jsonl(buffer: &SpanBuffer) -> String {
     let mut out = String::new();
     for span in buffer.sorted_spans() {
-        out.push_str(&span_json(span));
+        push_span(&mut out, span);
         out.push('\n');
     }
     out
 }
 
-/// Renders one snapshot's series as a JSONL object with fixed field
+/// Appends `"name":value` members, comma-separated, continuing the JSON
+/// object `out` is inside.
+fn push_columns<T: std::fmt::Display>(out: &mut String, names: &[String], values: &[T]) {
+    for (name, value) in names.iter().zip(values) {
+        push_separator(out, "{", ",");
+        out.push('"');
+        push_escaped(out, name);
+        let _ = write!(out, "\":{value}");
+    }
+}
+
+/// Appends one snapshot's series as a JSON object with fixed field
 /// order: scheme, window, window-end time, cumulative counters,
 /// per-window deltas, boundary gauges.
-fn series_json(block: &SeriesBlock, snap: &crate::timeseries::SeriesSnapshot) -> String {
-    let columns = |names: &[String], values: &mut dyn Iterator<Item = String>| -> String {
-        let body: Vec<String> = names
-            .iter()
-            .zip(values)
-            .map(|(name, value)| format!("\"{}\":{value}", escape(name)))
-            .collect();
-        body.join(",")
-    };
-    format!(
-        "{{\"scheme\":\"{}\",\"window\":{},\"t_us\":{},\"cum\":{{{}}},\"delta\":{{{}}},\"gauges\":{{{}}}}}",
-        escape(&block.scheme),
-        snap.window,
-        snap.t_us,
-        columns(&block.counters, &mut snap.cumulative.iter().map(|v| v.to_string())),
-        columns(&block.counters, &mut snap.delta.iter().map(|v| v.to_string())),
-        columns(&block.gauges, &mut snap.gauges.iter().map(|v| v.to_string())),
-    )
+fn push_series(out: &mut String, block: &SeriesBlock, snap: &crate::timeseries::SeriesSnapshot) {
+    out.push_str("{\"scheme\":\"");
+    push_escaped(out, &block.scheme);
+    let _ = write!(
+        out,
+        "\",\"window\":{},\"t_us\":{},\"cum\":{{",
+        snap.window, snap.t_us
+    );
+    push_columns(out, &block.counters, &snap.cumulative);
+    out.push_str("},\"delta\":{");
+    push_columns(out, &block.counters, &snap.delta);
+    out.push_str("},\"gauges\":{");
+    push_columns(out, &block.gauges, &snap.gauges);
+    out.push_str("}}");
+}
+
+/// `blocks` in scheme order.
+fn by_scheme(blocks: &[SeriesBlock]) -> Vec<&SeriesBlock> {
+    let mut ordered: Vec<&SeriesBlock> = blocks.iter().collect();
+    ordered.sort_by(|a, b| a.scheme.cmp(&b.scheme));
+    ordered
 }
 
 /// Renders time-series blocks as JSONL: one snapshot object per line,
@@ -223,35 +250,28 @@ fn series_json(block: &SeriesBlock, snap: &crate::timeseries::SeriesSnapshot) ->
 /// counters are non-decreasing and `t_us` strictly increases within a
 /// scheme, by construction of [`crate::timeseries::SeriesSampler`].
 pub fn series_jsonl(blocks: &[SeriesBlock]) -> String {
-    let mut ordered: Vec<&SeriesBlock> = blocks.iter().collect();
-    ordered.sort_by(|a, b| a.scheme.cmp(&b.scheme));
     let mut out = String::new();
-    for block in ordered {
+    for block in by_scheme(blocks) {
         for snap in &block.snapshots {
-            out.push_str(&series_json(block, snap));
+            push_series(&mut out, block, snap);
             out.push('\n');
         }
     }
     out
 }
 
-fn event_json(event: &TraceEvent, tid: usize) -> String {
-    let (cat, args) = match event.kind {
-        EventKind::Retry { depth, recovered } => (
-            "recovery",
-            format!(",\"depth\":{depth},\"recovered\":{recovered}"),
-        ),
-        EventKind::DieReset => ("recovery", String::new()),
-        EventKind::Scrub { reads, refreshes } => (
-            "scrub",
-            format!(",\"reads\":{reads},\"refreshes\":{refreshes}"),
-        ),
+/// Appends one instant event as a Chrome `ph:"i"` object.
+fn push_event(out: &mut String, event: &TraceEvent, tid: usize) {
+    let cat = match event.kind {
+        EventKind::Retry { .. } | EventKind::DieReset => "recovery",
+        EventKind::Scrub { .. } => "scrub",
     };
-    format!(
+    let _ = write!(
+        out,
         concat!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",",
             "\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{",
-            "\"seq\":{},\"tenant\":{},\"lpn\":{}{}}}}}"
+            "\"seq\":{},\"tenant\":{},\"lpn\":{}"
         ),
         event.kind.label(),
         cat,
@@ -260,8 +280,17 @@ fn event_json(event: &TraceEvent, tid: usize) -> String {
         event.seq,
         event.tenant,
         event.lpn,
-        args
-    )
+    );
+    let _ = match event.kind {
+        EventKind::Retry { depth, recovered } => {
+            write!(out, ",\"depth\":{depth},\"recovered\":{recovered}")
+        }
+        EventKind::DieReset => Ok(()),
+        EventKind::Scrub { reads, refreshes } => {
+            write!(out, ",\"reads\":{reads},\"refreshes\":{refreshes}")
+        }
+    };
+    out.push_str("}}");
 }
 
 /// Renders the buffer in Chrome `trace_event` JSON format, loadable in
@@ -284,6 +313,8 @@ pub fn chrome_trace(buffer: &SpanBuffer) -> String {
 /// the spans. With no events and no series the output is byte-identical
 /// to [`chrome_trace`].
 pub fn chrome_trace_full(buffer: &SpanBuffer, series: &[SeriesBlock]) -> String {
+    const OPEN: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    const SEP: &str = ",\n";
     let spans = buffer.sorted_spans();
     let instants = buffer.sorted_events();
     let mut schemes: Vec<&str> = Vec::new();
@@ -299,20 +330,22 @@ pub fn chrome_trace_full(buffer: &SpanBuffer, series: &[SeriesBlock]) -> String 
     }
     let tid = |scheme: &str| schemes.iter().position(|s| *s == scheme).unwrap() + 1;
 
-    let mut events: Vec<String> = Vec::new();
+    let mut out = String::from(OPEN);
     for scheme in &schemes {
-        events.push(format!(
-            concat!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},",
-                "\"args\":{{\"name\":\"{}\"}}}}"
-            ),
-            tid(scheme),
-            escape(scheme)
-        ));
+        push_separator(&mut out, OPEN, SEP);
+        let _ = write!(
+            out,
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
+            tid(scheme)
+        );
+        push_escaped(&mut out, scheme);
+        out.push_str("\"}}");
     }
     for span in &spans {
         let tid = tid(span.scheme);
-        events.push(format!(
+        push_separator(&mut out, OPEN, SEP);
+        let _ = write!(
+            out,
             concat!(
                 "{{\"name\":\"read lpn={}\",\"cat\":\"read\",\"ph\":\"X\",",
                 "\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{",
@@ -329,46 +362,41 @@ pub fn chrome_trace_full(buffer: &SpanBuffer, series: &[SeriesBlock]) -> String 
             span.decode_iterations,
             span.retry_rungs,
             span.outcome.label()
-        ));
+        );
         for stage in &span.stages {
-            events.push(format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",",
-                    "\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}"
-                ),
-                escape(stage.stage),
+            out.push_str(SEP);
+            out.push_str("{\"name\":\"");
+            push_escaped(&mut out, stage.stage);
+            let _ = write!(
+                out,
+                "\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
                 tid,
                 span.start_us + stage.offset_us,
                 stage.duration_us
-            ));
+            );
         }
     }
     for event in &instants {
-        events.push(event_json(event, tid(event.scheme)));
+        push_separator(&mut out, OPEN, SEP);
+        push_event(&mut out, event, tid(event.scheme));
     }
-    let mut ordered: Vec<&SeriesBlock> = series.iter().collect();
-    ordered.sort_by(|a, b| a.scheme.cmp(&b.scheme));
-    for block in ordered {
+    for block in by_scheme(series) {
         for snap in &block.snapshots {
-            let mut args: Vec<String> = Vec::new();
-            for (name, value) in block.counters.iter().zip(&snap.delta) {
-                args.push(format!("\"{}\":{value}", escape(name)));
-            }
-            for (name, value) in block.gauges.iter().zip(&snap.gauges) {
-                args.push(format!("\"{}\":{value}", escape(name)));
-            }
-            events.push(format!(
-                "{{\"name\":\"series {}\",\"ph\":\"C\",\"pid\":1,\"ts\":{},\"args\":{{{}}}}}",
-                escape(&block.scheme),
-                snap.t_us,
-                args.join(",")
-            ));
+            push_separator(&mut out, OPEN, SEP);
+            out.push_str("{\"name\":\"series ");
+            push_escaped(&mut out, &block.scheme);
+            let _ = write!(
+                out,
+                "\",\"ph\":\"C\",\"pid\":1,\"ts\":{},\"args\":{{",
+                snap.t_us
+            );
+            push_columns(&mut out, &block.counters, &snap.delta);
+            push_columns(&mut out, &block.gauges, &snap.gauges);
+            out.push_str("}}");
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        events.join(",\n")
-    )
+    out.push_str("\n]}\n");
+    out
 }
 
 #[cfg(test)]
@@ -564,6 +592,139 @@ mod tests {
         assert_eq!(chrome_trace(&sample_buffer()), {
             chrome_trace_full(&sample_buffer(), &[])
         });
+    }
+
+    /// Scheme, stage, counter and label names carrying `"`, `\` and a
+    /// newline, through all four exporters. The expected text pins every
+    /// escaped byte: JSON and Prometheus quoted values escape exactly
+    /// these three characters and pass everything else through.
+    #[test]
+    fn exporters_escape_quotes_backslashes_and_newlines() {
+        use crate::span::{EventKind, TraceEvent};
+        use crate::timeseries::SeriesSampler;
+        const SCHEME: &str = "fl\"ex\\le\nvel";
+        let mut buffer = SpanBuffer::unbounded();
+        buffer.push(ReadSpan {
+            seq: 3,
+            lpn: 7,
+            scheme: SCHEME,
+            tenant: 1,
+            arrival_us: 1.0,
+            start_us: 2.5,
+            response_us: 9.25,
+            sensing_levels: 3,
+            decode_iterations: 4,
+            retry_rungs: 1,
+            stages: vec![
+                StageTiming {
+                    stage: "se\"nse",
+                    offset_us: 0.0,
+                    duration_us: 5.0,
+                },
+                StageTiming {
+                    stage: "de\\co\nde",
+                    offset_us: 5.0,
+                    duration_us: 3.25,
+                },
+            ],
+            outcome: SpanOutcome::Recovered,
+        });
+        buffer.push_event(TraceEvent {
+            seq: 0,
+            t_us: 1.0,
+            scheme: SCHEME,
+            tenant: 1,
+            lpn: 7,
+            kind: EventKind::Scrub {
+                reads: 64,
+                refreshes: 2,
+            },
+        });
+        buffer.push_event(TraceEvent {
+            seq: 1,
+            t_us: 2.0,
+            scheme: SCHEME,
+            tenant: 1,
+            lpn: 7,
+            kind: EventKind::Retry {
+                depth: 2,
+                recovered: false,
+            },
+        });
+        buffer.push_event(TraceEvent {
+            seq: 2,
+            t_us: 3.0,
+            scheme: SCHEME,
+            tenant: 1,
+            lpn: 7,
+            kind: EventKind::DieReset,
+        });
+        let mut sampler = SeriesSampler::new(
+            SCHEME,
+            500,
+            vec!["host\"reads".into(), "re\\tries\n".into()],
+            vec!["u\"b\\e\nr".into()],
+        );
+        sampler.emit(vec![5, 1], vec![0.5]);
+        sampler.emit(vec![9, 4], vec![2.0]);
+        let series = [sampler.into_block()];
+        let mut registry = Registry::new();
+        let reads = registry.counter("reads_total", "Reads.", &[("scheme", SCHEME)]);
+        registry.inc_by(reads, 5);
+        let depth = registry.gauge("depth", "Depth.", &[("scheme", SCHEME), ("tenant", "t\"1")]);
+        registry.set_gauge(depth, 1.5);
+        let hist = registry.histogram("resp_us", "Response.", &[("scheme", SCHEME)]);
+        registry.observe(hist, 12.0);
+
+        assert_eq!(
+            span_jsonl(&buffer),
+            concat!(
+                "{\"seq\":3,\"lpn\":7,\"scheme\":\"fl\\\"ex\\\\le\\nvel\",\"tenant\":1,\"arrival_us\":1,\"start_us\":2.5,\"response_us\":9.25,",
+                "\"sensing_levels\":3,\"decode_iterations\":4,\"retry_rungs\":1,\"outcome\":\"recovered\",",
+                "\"stages\":[{\"stage\":\"se\\\"nse\",\"offset_us\":0,\"duration_us\":5},",
+                "{\"stage\":\"de\\\\co\\nde\",\"offset_us\":5,\"duration_us\":3.25}]}\n",
+            )
+        );
+        assert_eq!(
+            series_jsonl(&series),
+            concat!(
+                "{\"scheme\":\"fl\\\"ex\\\\le\\nvel\",\"window\":0,\"t_us\":500,\"cum\":{\"host\\\"reads\":5,\"re\\\\tries\\n\":1},\"delta\":{\"host\\\"reads\":5,\"re\\\\tries\\n\":1},\"gauges\":{\"u\\\"b\\\\e\\nr\":0.5}}\n",
+                "{\"scheme\":\"fl\\\"ex\\\\le\\nvel\",\"window\":1,\"t_us\":1000,\"cum\":{\"host\\\"reads\":9,\"re\\\\tries\\n\":4},\"delta\":{\"host\\\"reads\":4,\"re\\\\tries\\n\":3},\"gauges\":{\"u\\\"b\\\\e\\nr\":2}}\n",
+            )
+        );
+        assert_eq!(
+            chrome_trace_full(&buffer, &series),
+            concat!(
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"fl\\\"ex\\\\le\\nvel\"}},\n",
+                "{\"name\":\"read lpn=7\",\"cat\":\"read\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1,\"dur\":9.25,\"args\":{\"seq\":3,\"tenant\":1,\"sensing_levels\":3,\"decode_iterations\":4,\"retry_rungs\":1,\"outcome\":\"recovered\"}},\n",
+                "{\"name\":\"se\\\"nse\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":2.5,\"dur\":5},\n",
+                "{\"name\":\"de\\\\co\\nde\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":7.5,\"dur\":3.25},\n",
+                "{\"name\":\"scrub\",\"cat\":\"scrub\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"ts\":1,\"args\":{\"seq\":0,\"tenant\":1,\"lpn\":7,\"reads\":64,\"refreshes\":2}},\n",
+                "{\"name\":\"retry\",\"cat\":\"recovery\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"ts\":2,\"args\":{\"seq\":1,\"tenant\":1,\"lpn\":7,\"depth\":2,\"recovered\":false}},\n",
+                "{\"name\":\"die_reset\",\"cat\":\"recovery\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"ts\":3,\"args\":{\"seq\":2,\"tenant\":1,\"lpn\":7}},\n",
+                "{\"name\":\"series fl\\\"ex\\\\le\\nvel\",\"ph\":\"C\",\"pid\":1,\"ts\":500,\"args\":{\"host\\\"reads\":5,\"re\\\\tries\\n\":1,\"u\\\"b\\\\e\\nr\":0.5}},\n",
+                "{\"name\":\"series fl\\\"ex\\\\le\\nvel\",\"ph\":\"C\",\"pid\":1,\"ts\":1000,\"args\":{\"host\\\"reads\":4,\"re\\\\tries\\n\":3,\"u\\\"b\\\\e\\nr\":2}}\n",
+                "]}\n",
+            )
+        );
+        assert_eq!(
+            prometheus(&registry),
+            concat!(
+                "# HELP reads_total Reads.\n",
+                "# TYPE reads_total counter\n",
+                "reads_total{scheme=\"fl\\\"ex\\\\le\\nvel\"} 5\n",
+                "# HELP depth Depth.\n",
+                "# TYPE depth gauge\n",
+                "depth{scheme=\"fl\\\"ex\\\\le\\nvel\",tenant=\"t\\\"1\"} 1.5\n",
+                "# HELP resp_us Response.\n",
+                "# TYPE resp_us histogram\n",
+                "resp_us_bucket{scheme=\"fl\\\"ex\\\\le\\nvel\",le=\"12.25\"} 1\n",
+                "resp_us_bucket{scheme=\"fl\\\"ex\\\\le\\nvel\",le=\"+Inf\"} 1\n",
+                "resp_us_sum{scheme=\"fl\\\"ex\\\\le\\nvel\"} 12\n",
+                "resp_us_count{scheme=\"fl\\\"ex\\\\le\\nvel\"} 1\n",
+            )
+        );
     }
 
     #[test]
