@@ -107,11 +107,11 @@ impl IterationProfile {
         IterationProfile { mean }
     }
 
-    /// Builds a profile from a measured sensing ladder (the output of
-    /// [`minimum_levels`](crate::sensing::minimum_levels)): each rung's
-    /// mean iteration count fills its level slot, and unmeasured depths
-    /// inherit the nearest shallower measurement. Returns `None` on an
-    /// empty ladder.
+    /// Builds a profile from a measured sensing ladder (as
+    /// [`measure_iteration_profile`](crate::sensing::measure_iteration_profile)
+    /// measures it): each rung's mean iteration count fills its level
+    /// slot, and unmeasured depths inherit the nearest shallower
+    /// measurement. Returns `None` on an empty ladder.
     pub fn from_ladder(ladder: &[FerMeasurement]) -> Option<IterationProfile> {
         if ladder.is_empty() {
             return None;

@@ -15,7 +15,9 @@
 //!   with a structure-of-arrays
 //!   [`decode_batch`](quantized::QuantizedMinSumDecoder::decode_batch)
 //!   path and a zero-allocation [`DecoderWorkspace`] — the Monte-Carlo
-//!   hot path (see [`measure_fer`]);
+//!   hot path: [`measure_fer`], [`measure_fer_until`] and
+//!   [`measure_iteration_profile`] all decode through it, in batches of
+//!   up to 64 lanes that run the bit-plane kernel when full;
 //! * [`MlcReadChannel`] — the lower-page MLC read channel: soft sensing
 //!   thresholds, Monte-Carlo-calibrated region LLRs, built directly on the
 //!   `reliability` crate's noise models;
@@ -55,7 +57,6 @@ pub mod channel;
 pub mod code;
 pub mod decoder;
 pub mod encoder;
-pub mod farm;
 pub mod latency;
 pub mod layered;
 pub mod quantized;
@@ -65,13 +66,12 @@ pub use channel::{ChannelStress, MlcReadChannel, PageKind, SoftSensingConfig};
 pub use code::{CodeError, QcLdpcCode};
 pub use decoder::{DecodeOutcome, DecoderGraph, MinSumDecoder};
 pub use encoder::{encode, random_info, EncodeError};
-pub use farm::{measure_iteration_profile, DecodeFarm, DecodeRequest, DecodeVerdict, FarmConfig};
 pub use latency::{IterationProfile, ReadLatencyModel};
 pub use quantized::{
     BatchOutcome, DecodeKernel, DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder, Schedule,
     Q_MAX,
 };
 pub use sensing::{
-    decode_success_rate, measure_fer, measure_fer_farm, measure_fer_until, minimum_levels,
-    FerMeasurement, FerStats, SensingSchedule, FER_BATCH,
+    decode_success_rate, measure_fer, measure_fer_until, measure_iteration_profile, minimum_levels,
+    FarmConfig, FerMeasurement, FerStats, SensingSchedule,
 };

@@ -1,12 +1,23 @@
 //! Required-sensing-level estimation (the machinery behind Table 5).
 //!
-//! How many extra soft sensing levels does the LDPC decoder need before a
-//! page is reliably decodable? Two paths answer that question:
+//! How many extra soft sensing levels does the LDPC decoder need, and how
+//! many iterations does it spend, at each sensing precision? Three paths
+//! answer that question:
 //!
-//! * [`decode_success_rate`] / [`minimum_levels`] — the *measured* path:
-//!   run the real min-sum decoder over Monte-Carlo-corrupted codewords at
-//!   each sensing precision and find the smallest one that decodes. This is
-//!   what the Table 5 experiment binary uses.
+//! * [`decode_success_rate`] / [`minimum_levels`] — the floating-point
+//!   reference: run the `f32` min-sum decoder over Monte-Carlo-corrupted
+//!   codewords at each sensing precision and find the smallest one that
+//!   decodes. This is what the Table 5 experiment binary uses.
+//! * [`measure_fer`] / [`measure_fer_until`] / [`measure_iteration_profile`]
+//!   — the quantized hardware decoder over the deterministic MC engine.
+//!   All three run one shard body: it samples its frames on the worker
+//!   and decodes them in fixed-order batches of up to
+//!   [`bitplane::LANES`](crate::bitplane::LANES) lanes, so full batches
+//!   run the bit-plane kernel. The kernels are strictly lane-wise, so
+//!   batch width never changes a result; shard layout and seeds do, and
+//!   results are bit-identical for every thread count.
+//!   `measure_iteration_profile` runs one shard per sensing depth and
+//!   folds the ladder into the simulator's [`IterationProfile`].
 //! * [`SensingSchedule`] — the *fast* path: a monotone raw-BER → levels
 //!   lookup used by the SSD simulator, which needs millions of per-read
 //!   queries. The default schedule reproduces the paper's published
@@ -18,11 +29,12 @@ use std::sync::Arc;
 use reliability::mc::{self, McOptions};
 use serde::{Deserialize, Serialize};
 
+use crate::bitplane::LANES;
 use crate::channel::MlcReadChannel;
 use crate::code::QcLdpcCode;
 use crate::decoder::{DecoderGraph, MinSumDecoder};
 use crate::encoder::{encode, random_info};
-use crate::farm::{DecodeFarm, DecodeRequest};
+use crate::latency::IterationProfile;
 use crate::quantized::{DecoderWorkspace, LlrQuantizer, QuantizedMinSumDecoder};
 
 /// Outcome of a frame-error-rate measurement at one sensing precision.
@@ -71,12 +83,6 @@ pub fn decode_success_rate<R: rand::Rng + ?Sized>(
     )
 }
 
-/// Batch width of [`measure_fer`]. Fixed — like the MC engine's shard
-/// layout, it is part of the determinism contract: trials within a shard
-/// decode in groups of this size, in order, so results are independent of
-/// the thread count but would change under a different batch width.
-pub const FER_BATCH: usize = 8;
-
 /// Aggregate outcome of a [`measure_fer`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FerStats {
@@ -109,10 +115,8 @@ impl FerStats {
 /// random codewords through `channel`, sharded across the deterministic
 /// MC engine.
 ///
-/// Each shard owns one [`DecoderWorkspace`] and decodes its trials in
-/// fixed-order batches of [`FER_BATCH`] lanes, so the result is
-/// bit-identical for every thread count (the PR 1 contract) while the
-/// graph is traversed once per iteration for the whole batch.
+/// This is [`measure_fer_until`] with a target that is never reached, so
+/// every shard runs. The result is bit-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -126,28 +130,23 @@ pub fn measure_fer(
     seed: u64,
     options: &McOptions,
 ) -> FerStats {
-    assert!(trials > 0, "need at least one trial");
-    let graph = DecoderGraph::cached(code);
-    let table = channel.quantized_llr_table(quantizer);
-    let shards = mc::run_trials(trials, seed, options, |_, shard_trials, rng| {
-        fer_shard(code, &graph, decoder, channel, &table, shard_trials, rng)
-    });
-    let mut stats = FerStats {
+    measure_fer_until(
+        code,
+        decoder,
+        channel,
+        quantizer,
         trials,
-        frame_errors: 0,
-        total_iterations: 0,
-    };
-    for (errors, iterations) in shards {
-        stats.frame_errors += errors;
-        stats.total_iterations += iterations;
-    }
-    stats
+        u64::MAX,
+        seed,
+        options,
+    )
 }
 
-/// One MC shard of [`measure_fer`]: decode `shard_trials` frames in
-/// fixed-order [`FER_BATCH`]-lane groups, returning `(frame_errors,
-/// total_iterations)`. [`measure_fer`] and [`measure_fer_until`] share
-/// it, and so one frame sequence.
+/// One MC shard of the quantized FER paths: sample `shard_trials` frames
+/// from `rng` and decode them in fixed-order batches of
+/// `min(shard_trials, LANES)` lanes, returning `(frame_errors,
+/// total_iterations)`. A frame counts as an error unless the syndrome
+/// clears *and* the hard decision equals the transmitted codeword.
 fn fer_shard<R: rand::Rng + ?Sized>(
     code: &QcLdpcCode,
     graph: &DecoderGraph,
@@ -158,14 +157,15 @@ fn fer_shard<R: rand::Rng + ?Sized>(
     rng: &mut R,
 ) -> (u64, u64) {
     let n = code.codeword_bits();
+    let width = shard_trials.min(LANES as u64) as usize;
     let mut ws = DecoderWorkspace::new();
-    let mut qllrs = vec![0i8; n * FER_BATCH];
-    let mut sent = vec![0u8; n * FER_BATCH];
+    let mut qllrs = vec![0i8; n * width];
+    let mut sent = vec![0u8; n * width];
     let mut errors = 0u64;
     let mut iterations = 0u64;
     let mut remaining = shard_trials;
     while remaining > 0 {
-        let lanes = remaining.min(FER_BATCH as u64) as usize;
+        let lanes = remaining.min(width as u64) as usize;
         for lane in 0..lanes {
             let info = random_info(code, rng);
             let cw = encode(code, &info).expect("random info has the right length");
@@ -198,10 +198,8 @@ fn fer_shard<R: rand::Rng + ?Sized>(
 /// [`mc::WAVE_SHARDS`] and the error count is only consulted between
 /// waves, so the executed trial prefix — and every statistic — is
 /// bit-identical for every thread count. `FerStats::trials` reports the
-/// trials actually executed (`≤ max_trials`); each executed frame is
-/// identical to the corresponding [`measure_fer`] frame, and when the
-/// target is never reached the result equals
-/// `measure_fer(.., max_trials, ..)` exactly.
+/// trials actually executed (`≤ max_trials`); each executed frame is the
+/// corresponding [`measure_fer`] frame.
 ///
 /// # Panics
 ///
@@ -244,56 +242,74 @@ pub fn measure_fer_until(
     stats
 }
 
-/// [`measure_fer`] through a shared [`DecodeFarm`] instead of per-shard
-/// [`FER_BATCH`]-lane batches.
+/// Worker count of [`measure_iteration_profile`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FarmConfig {
+    /// Worker threads; `0` = auto (`reliability::mc::resolve_threads`,
+    /// i.e. `FLEXLEVEL_THREADS` or the machine). Has **no** effect on
+    /// results, only wall-clock — the simulator forwards its unified
+    /// `--threads` knob here.
+    pub workers: u32,
+}
+
+impl FarmConfig {
+    /// Returns the config with an explicit worker count
+    /// (`0` keeps the auto behaviour).
+    #[must_use]
+    pub fn with_workers(mut self, workers: u32) -> FarmConfig {
+        self.workers = workers;
+        self
+    }
+}
+
+/// Measures the quantized decoder's success rate and mean iteration
+/// count at each sensing depth `0..=max_levels`, and folds the ladder
+/// into an [`IterationProfile`] for `SsdConfig::measured_iterations`.
 ///
-/// Frame generation reuses `measure_fer`'s shard layout and per-trial RNG
-/// consumption order, so every frame is bit-identical to the
-/// corresponding `measure_fer` frame; the frames are then submitted as
-/// one request queue and packed into the farm's (wider) batches. Because
-/// the quantized kernels are strictly lane-wise, re-batching cannot
-/// change any verdict — this returns **exactly** `measure_fer`'s
-/// statistics for the same `(trials, seed, options)` and the farm's
-/// decoder, for every worker count and batch width.
+/// The channels are built first, in depth order, on the calling thread
+/// (`make_channel` is typically [`MlcReadChannel::build_cached`]). Each
+/// depth `e` is then one MC shard of `trials_per_level` frames drawn
+/// from `mc::shard_rng(seed, e)`, and the depths run in parallel over
+/// `config.workers` threads. Returns the profile plus the underlying
+/// ladder (success rate, mean iterations and raw BER per depth), both
+/// bit-identical for every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `trials == 0` or the farm was built for a different code.
-pub fn measure_fer_farm(
+/// Panics if `trials_per_level == 0`.
+#[allow(clippy::too_many_arguments)] // mirrors `minimum_levels`' surface
+pub fn measure_iteration_profile<F>(
     code: &QcLdpcCode,
-    channel: &MlcReadChannel,
+    decoder: &QuantizedMinSumDecoder,
     quantizer: &LlrQuantizer,
-    trials: u64,
+    max_levels: u32,
+    trials_per_level: u32,
     seed: u64,
-    options: &McOptions,
-    farm: &DecodeFarm,
-) -> FerStats {
-    assert!(trials > 0, "need at least one trial");
-    let table = channel.quantized_llr_table(quantizer);
-    let n = code.codeword_bits();
-    let shards = mc::run_trials(trials, seed, options, |_, shard_trials, rng| {
-        let mut requests = Vec::with_capacity(shard_trials as usize);
-        for _ in 0..shard_trials {
-            let info = random_info(code, rng);
-            let cw = encode(code, &info).expect("random info has the right length");
-            let mut qllrs = vec![0i8; n];
-            for (bit, &b) in cw.iter().enumerate() {
-                qllrs[bit] = table[channel.sample_region(b, rng)];
-            }
-            requests.push(DecodeRequest {
-                qllrs,
-                expected: Some(cw),
-            });
+    config: FarmConfig,
+    mut make_channel: F,
+) -> (IterationProfile, Vec<FerMeasurement>)
+where
+    F: FnMut(u32) -> Arc<MlcReadChannel>,
+{
+    assert!(trials_per_level > 0, "need at least one trial per level");
+    let graph = DecoderGraph::cached(code);
+    let channels: Vec<Arc<MlcReadChannel>> = (0..=max_levels).map(&mut make_channel).collect();
+    let trials = u64::from(trials_per_level);
+    let ladder = mc::parallel_map(channels, config.workers, |depth, channel| {
+        let extra = depth as u32;
+        let table = channel.quantized_llr_table(quantizer);
+        let mut rng = mc::shard_rng(seed, extra);
+        let (errors, iterations) =
+            fer_shard(code, &graph, decoder, &channel, &table, trials, &mut rng);
+        FerMeasurement {
+            extra_levels: extra,
+            success_rate: (trials - errors) as f64 / trials as f64,
+            mean_iterations: iterations as f64 / trials as f64,
+            raw_ber: channel.raw_ber(),
         }
-        requests
     });
-    let requests: Vec<DecodeRequest> = shards.into_iter().flatten().collect();
-    let verdicts = farm.decode_all(&requests);
-    FerStats {
-        trials,
-        frame_errors: verdicts.iter().filter(|v| !v.correct).count() as u64,
-        total_iterations: verdicts.iter().map(|v| u64::from(v.iterations)).sum(),
-    }
+    let profile = IterationProfile::from_ladder(&ladder).expect("ladder is non-empty");
+    (profile, ladder)
 }
 
 /// Finds the minimum number of extra sensing levels (0..=`max_levels`)
@@ -469,7 +485,8 @@ impl Default for SensingSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{ChannelStress, SoftSensingConfig};
+    use crate::channel::{ChannelStress, PageKind, SoftSensingConfig};
+    use crate::quantized::Schedule;
     use flash_model::{Hours, LevelConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -571,7 +588,7 @@ mod tests {
             |extra| {
                 MlcReadChannel::build_cached(
                     &cfg,
-                    crate::channel::PageKind::Lower,
+                    PageKind::Lower,
                     ChannelStress::retention(6000, Hours::weeks(1.0)),
                     SoftSensingConfig::soft(extra),
                     20_000,
@@ -596,7 +613,7 @@ mod tests {
         let code = QcLdpcCode::small_test_code();
         let channel = MlcReadChannel::build_cached(
             &LevelConfig::normal_mlc(),
-            crate::channel::PageKind::Lower,
+            PageKind::Lower,
             ChannelStress::retention(5000, Hours::weeks(1.0)),
             SoftSensingConfig::soft(4),
             20_000,
@@ -622,5 +639,69 @@ mod tests {
         assert!((0.0..=1.0).contains(&stats.fer()));
         assert!((stats.success_rate() + stats.fer() - 1.0).abs() < 1e-12);
         assert!(stats.mean_iterations() >= 1.0);
+    }
+
+    /// The calibration ladder, pinned at the values the previous decode
+    /// path measured (all 72 frames packed into shared 64-lane batches;
+    /// each depth now decodes its own 24-lane batch), for any worker
+    /// count. The harsher stress point keeps every depth above one
+    /// iteration, so each depth's frame stream is pinned.
+    #[test]
+    fn iteration_profile_is_pinned() {
+        let code = QcLdpcCode::small_test_code();
+        let decoder = QuantizedMinSumDecoder::new().with_schedule(Schedule::Layered);
+        let rung = |extra_levels, success_rate, mean_iterations, raw_ber| FerMeasurement {
+            extra_levels,
+            success_rate,
+            mean_iterations,
+            raw_ber,
+        };
+        let cases = [
+            (
+                ChannelStress::retention(5000, Hours::weeks(1.0)),
+                vec![
+                    rung(0, 0.9583333333333334, 3.1666666666666665, 0.010225),
+                    rung(1, 1.0, 1.0, 0.00905),
+                    rung(2, 1.0, 1.0, 0.009875),
+                ],
+            ),
+            (
+                ChannelStress::retention(6000, Hours::months(1.0)),
+                vec![
+                    rung(0, 0.7083333333333334, 14.875, 0.024275),
+                    rung(1, 1.0, 1.25, 0.02345),
+                    rung(2, 1.0, 1.125, 0.0237),
+                ],
+            ),
+        ];
+        for (stress, want) in &cases {
+            for workers in [1u32, 2, 8] {
+                let (profile, ladder) = measure_iteration_profile(
+                    &code,
+                    &decoder,
+                    &LlrQuantizer::default(),
+                    2,
+                    24,
+                    91,
+                    FarmConfig::default().with_workers(workers),
+                    |extra| {
+                        MlcReadChannel::build_cached(
+                            &LevelConfig::normal_mlc(),
+                            PageKind::Lower,
+                            *stress,
+                            SoftSensingConfig::soft(extra),
+                            20_000,
+                            50 + u64::from(extra),
+                        )
+                    },
+                );
+                assert_eq!(&ladder, want, "{stress:?}, workers {workers}");
+                assert_eq!(
+                    profile,
+                    IterationProfile::from_ladder(want).unwrap(),
+                    "{stress:?}, workers {workers}"
+                );
+            }
+        }
     }
 }

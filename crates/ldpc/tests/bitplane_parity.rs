@@ -12,17 +12,17 @@
 //!    paired success-count difference stays inside a 6σ discordant-pair
 //!    bound (the same bound `quantized_parity.rs` uses for i8 vs f32),
 //!    and layered must not need more iterations on average.
-//! 3. **The farm and the early-exit drain preserve the MC contract** —
-//!    `measure_fer_farm` equals `measure_fer` exactly, and
-//!    `measure_fer_until` is bit-identical across 1/2/8 threads.
+//! 3. **Batch width and the early-exit drain preserve the MC contract** —
+//!    `measure_fer` keeps the statistics it had when it decoded 8-lane
+//!    batches, and `measure_fer_until` is bit-identical across 1/2/8
+//!    threads.
 
 use flash_model::{Hours, LevelConfig};
 use ldpc::bitplane::{transpose64, untranspose64};
 use ldpc::{
-    encode, measure_fer, measure_fer_farm, measure_fer_until, random_info, ChannelStress,
-    DecodeFarm, DecodeKernel, DecoderGraph, DecoderWorkspace, FarmConfig, LlrQuantizer,
-    MlcReadChannel, PageKind, QcLdpcCode, QuantizedMinSumDecoder, Schedule, SoftSensingConfig,
-    Q_MAX,
+    encode, measure_fer, measure_fer_until, random_info, ChannelStress, DecodeKernel, DecoderGraph,
+    DecoderWorkspace, FerStats, LlrQuantizer, MlcReadChannel, PageKind, QcLdpcCode,
+    QuantizedMinSumDecoder, Schedule, SoftSensingConfig, Q_MAX,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -215,24 +215,43 @@ fn test_channel(seed: u64) -> std::sync::Arc<MlcReadChannel> {
     )
 }
 
-/// The farm path returns exactly `measure_fer`'s statistics: identical
-/// frames, lane-wise kernels, wider batches — nothing may shift.
+/// `measure_fer` at the statistics it measured with 8-lane `i8` batches.
+/// Today 32-trial shards decode one 33- or 34-lane `i8` batch each, and
+/// a single 300-trial shard decodes four 64-lane bit-plane batches plus
+/// a 44-lane `i8` tail: batch width and kernel must not shift a frame.
 #[test]
-fn measure_fer_farm_equals_measure_fer() {
+fn measure_fer_is_pinned_across_batch_widths() {
     let code = QcLdpcCode::small_test_code();
     let decoder = QuantizedMinSumDecoder::new().with_schedule(Schedule::Layered);
     let quantizer = LlrQuantizer::default();
     let channel = test_channel(77);
-    let opts = McOptions {
+    let sharded = McOptions {
         min_shard_trials: 32,
         ..McOptions::default()
     };
-    let direct = measure_fer(&code, &decoder, &channel, &quantizer, 300, 9, &opts);
-    assert_ne!(direct.frame_errors, 0, "stress must produce frame errors");
-    for workers in [1u32, 2, 8] {
-        let farm = DecodeFarm::new(&code, decoder, FarmConfig::default().with_workers(workers));
-        let farmed = measure_fer_farm(&code, &channel, &quantizer, 300, 9, &opts, &farm);
-        assert_eq!(direct, farmed, "workers {workers}");
+    let stats = |frame_errors, total_iterations| FerStats {
+        trials: 300,
+        frame_errors,
+        total_iterations,
+    };
+    for threads in [1u32, 2, 8] {
+        let run = |opts: McOptions| {
+            measure_fer(
+                &code,
+                &decoder,
+                &channel,
+                &quantizer,
+                300,
+                9,
+                &opts.with_threads(threads),
+            )
+        };
+        assert_eq!(run(sharded), stats(58, 3343), "threads {threads}");
+        assert_eq!(
+            run(McOptions::default()),
+            stats(60, 3384),
+            "threads {threads}"
+        );
     }
 }
 

@@ -101,7 +101,7 @@ Timing:
                         (default 4)
   --decoders N          controller LDPC decoder slots, pipelined model,
                         at least 1 (default 2)
-  --threads N           host worker threads for the decode farm and sweeps;
+  --threads N           host worker threads for LDPC calibration and sweeps;
                         0 = FLEXLEVEL_THREADS or the machine (default 0).
                         Never changes results, only wall-clock time
   --measured-iterations calibrate decode latency from the quantized
@@ -877,12 +877,12 @@ fn attribution_panel(recorder: &Recorder, schemes: &[Scheme]) -> String {
 }
 
 /// Calibrates the decode-latency iteration profile with the real
-/// quantized decoder (`--measured-iterations`): all sensing depths'
-/// frames go through one [`DecodeFarm`](ldpc::DecodeFarm) queue on the
-/// layered schedule the hardware model assumes. Farm workers come from
-/// the unified thread knob (`--threads`, falling back to
-/// `FLEXLEVEL_THREADS` or the machine when 0) — worker count never
-/// affects the measured profile, only wall-clock. The stress point is
+/// quantized decoder (`--measured-iterations`) on the layered schedule
+/// the hardware model assumes: each sensing depth is one Monte-Carlo
+/// shard, and the depths run in parallel. Workers come from the unified
+/// thread knob (`--threads`, falling back to `FLEXLEVEL_THREADS` or the
+/// machine when 0) — worker count never affects the measured profile,
+/// only wall-clock. The stress point is
 /// the run's starting P/E at one month of retention — the harsh corner
 /// the paper's Table 5 ladder is measured at. Deterministic in `--seed`.
 fn calibrate_iteration_profile(args: &Args) -> IterationProfile {

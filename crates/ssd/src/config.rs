@@ -93,7 +93,8 @@ pub struct SsdConfig {
     /// Raw-BER → extra-sensing-levels schedule.
     pub schedule: SensingSchedule,
     /// Measured per-sensing-depth decoder iteration counts (e.g. from
-    /// [`IterationProfile::from_ladder`] over a `minimum_levels` run).
+    /// [`ldpc::measure_iteration_profile`], which `flexlevel-sim
+    /// --measured-iterations` runs).
     /// When set, per-read decode latency charges the measured mean
     /// iterations at the read's sensing depth instead of the
     /// `typical_iterations` BER heuristic. `None` (the default) keeps the
