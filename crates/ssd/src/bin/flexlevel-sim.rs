@@ -18,7 +18,7 @@ use ssd::{
     FaultConfig, OverloadPolicy, ScenarioSpec, Scheme, ServeOptions, SimObserver, SimStats,
     SsdConfig, SsdSimulator, StageKind, TenantQos, TimingModel,
 };
-use workloads::{OpenLoopSource, TenantWorkload, WorkloadSpec};
+use workloads::{IoRequest, OpenLoopSource, TenantWorkload, WorkloadSpec};
 
 struct Args {
     scheme: Scheme,
@@ -1149,6 +1149,14 @@ fn main() {
     let footprint = args
         .footprint
         .unwrap_or(config.geometry.logical_pages() * 7 / 10);
+    // Requests address at most 2^48 pages, so no device holds a larger
+    // footprint: fail the run as any oversized footprint does (exit 1).
+    if footprint > IoRequest::LPN_LIMIT {
+        eprintln!(
+            "error: trace footprint {footprint} pages exceeds the request address space (2^48 pages)"
+        );
+        std::process::exit(1);
+    }
     let trace = (!args.serve).then(|| {
         spec.clone()
             .with_requests(args.requests)

@@ -551,9 +551,9 @@ impl SimObserver {
         latency: &ReadLatencyModel,
     ) -> u64 {
         let (t_us, tenant_id) = (request.arrival_us, tenant.unwrap_or(0));
-        let mut span = (request.op == IoOp::Read).then(|| ReadSpan {
+        let mut span = (request.op() == IoOp::Read).then(|| ReadSpan {
             seq: 0,
-            lpn: request.lpn,
+            lpn: request.lpn(),
             scheme: self.scheme,
             tenant: tenant_id,
             arrival_us: t_us,
@@ -896,12 +896,7 @@ mod tests {
     use crate::scheduler::Request;
 
     fn read(arrival_us: f64, lpn: u64) -> IoRequest {
-        IoRequest {
-            arrival_us,
-            lpn,
-            pages: 1,
-            op: IoOp::Read,
-        }
+        IoRequest::new(arrival_us, lpn, 1, IoOp::Read)
     }
 
     fn key(obs_key: u64) -> Request {
@@ -982,10 +977,7 @@ mod tests {
             reads: 12,
             refreshes: 2,
         };
-        let request = IoRequest {
-            pages: 4,
-            ..read(40.0, 7)
-        };
+        let request = IoRequest::new(40.0, 7, 4, IoOp::Read);
         let k = o.end_request(
             &request,
             Some(1),

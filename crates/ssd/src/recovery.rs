@@ -206,9 +206,9 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
     h.u64(trace.requests.len() as u64);
     for r in &trace.requests {
         h.u64(r.arrival_us.to_bits());
-        h.u64(r.lpn);
-        h.u32(r.pages);
-        h.byte(match r.op {
+        h.u64(r.lpn());
+        h.u32(r.pages());
+        h.byte(match r.op() {
             workloads::IoOp::Read => 0,
             workloads::IoOp::Write => 1,
         });
@@ -760,6 +760,32 @@ mod image_tests {
         sim.resume(&trace).expect_err("armed crash plan fires");
         let crash = sim.crash_image(&base).expect("crash image");
         (base, crash)
+    }
+
+    /// The FXT1 bytes (FNV-1a of `workloads::encode`) and the
+    /// `trace_fingerprint` images carry, for one fixed web-1 and one
+    /// prj-1 trace. Both hash the request fields, not their in-memory
+    /// layout, so a packing mistake in `IoRequest` fails here by name.
+    #[test]
+    fn trace_fingerprint_and_fxt1_bytes_are_pinned() {
+        let pins: Vec<(u64, u64)> = [WorkloadSpec::web1(), WorkloadSpec::prj1()]
+            .into_iter()
+            .map(|spec| {
+                let trace = spec
+                    .with_requests(5_000)
+                    .generate(&mut StdRng::seed_from_u64(0x7ACE));
+                let mut h = Fnv::new();
+                h.bytes(&workloads::encode(&trace));
+                (trace_fingerprint(&trace), h.0)
+            })
+            .collect();
+        assert_eq!(
+            pins,
+            [
+                (0x9E10_EB04_6E75_B17A, 0x6F29_76C7_6E34_82F6),
+                (0xEA74_0F49_F67F_E65F, 0x37F0_93E6_E131_B70D),
+            ]
+        );
     }
 
     /// The round-trip tests pass for any self-consistent layout; this

@@ -807,7 +807,7 @@ impl SsdSimulator {
             };
             let records_before = self.ftl.journal().map_or(0, <[_]>::len);
             let plan = self.serve_logical(&request, &mut ops)?;
-            let channel = (request.lpn % clock.len() as u64) as usize;
+            let channel = (request.lpn() % clock.len() as u64) as usize;
             let start = submit.max(clock[channel]);
             clock[channel] = start + plan.fg + plan.bg;
             backpressure.commit(tenant, (start + plan.fg).as_f64());
@@ -889,7 +889,7 @@ impl SsdSimulator {
         let mut plan = RequestPlan {
             fg: Micros::ZERO,
             bg: Micros::ZERO,
-            is_read: request.op == IoOp::Read,
+            is_read: request.op() == IoOp::Read,
             scrub: None,
         };
         ops.fg.clear();
@@ -898,14 +898,14 @@ impl SsdSimulator {
         for lpn in request.lpns() {
             let lpn = lpn % self.ftl.logical_pages();
             let (fg, bg) = (ops.fg.len(), ops.bg.len());
-            match request.op {
+            match request.op() {
                 IoOp::Read => self.read_page(lpn, ops)?,
                 IoOp::Write => self.write_page(lpn, ops)?,
             }
             plan.fg += lumped_total(&ops.fg[fg..], &latency);
             plan.bg += lumped_total(&ops.bg[bg..], &latency);
         }
-        match request.op {
+        match request.op() {
             IoOp::Read => self.stats.host_reads += 1,
             IoOp::Write => self.stats.host_writes += 1,
         }
@@ -1375,12 +1375,7 @@ mod tests {
     #[test]
     fn unsorted_arrivals_are_rejected_on_both_backends() {
         use crate::config::TimingModel;
-        let request = |arrival_us, lpn| IoRequest {
-            arrival_us,
-            lpn,
-            pages: 1,
-            op: IoOp::Read,
-        };
+        let request = |arrival_us, lpn| IoRequest::new(arrival_us, lpn, 1, IoOp::Read);
         let trace = Trace {
             name: "unsorted".to_string(),
             footprint_pages: 64,

@@ -97,6 +97,25 @@ fn simulation_failure_exits_one() {
 }
 
 #[test]
+fn unaddressable_footprint_exits_one_without_a_panic() {
+    for serve in [false, true] {
+        let mut cmd = sim();
+        cmd.args(["--blocks", "64", "--requests", "50", "--footprint"])
+            .arg(u64::MAX.to_string());
+        if serve {
+            cmd.arg("--serve");
+        }
+        let out = cmd.output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "serve {serve}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(
+            stderr.contains("exceeds the request address space") && !stderr.contains("panicked"),
+            "serve {serve}:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn baseline_scenario_runs_clean() {
     let out = sim()
         .args([

@@ -4,7 +4,11 @@
 //! experiment pipelines often want to snapshot the exact trace a result
 //! came from. The format is a fixed 24-byte little-endian record per
 //! request under a small header — ~5× smaller than JSON and allocation-
-//! free to scan.
+//! free to scan. Each record is `f64` arrival, `u64` lpn, `u32` pages, one
+//! op byte and three zero padding bytes, although [`IoRequest`] packs the
+//! same fields into 16 bytes in memory. A record whose lpn or page count
+//! does not fit that packing (lpn ≥ 2^48, pages > 2^15 − 1) fails with
+//! [`DecodeError::RecordOutOfRange`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -24,6 +28,12 @@ pub enum DecodeError {
     BadOp(u8),
     /// Name bytes were not valid UTF-8.
     BadName,
+    /// Record `index` has an lpn of at least [`IoRequest::LPN_LIMIT`] or
+    /// more than [`IoRequest::MAX_PAGES`] pages.
+    RecordOutOfRange {
+        /// Offending record index.
+        index: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -33,6 +43,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a FXT1 trace"),
             DecodeError::BadOp(op) => write!(f, "unknown op code {op}"),
             DecodeError::BadName => write!(f, "trace name is not valid UTF-8"),
+            DecodeError::RecordOutOfRange { index } => {
+                write!(f, "record {index} has an lpn or page count out of range")
+            }
         }
     }
 }
@@ -50,9 +63,9 @@ pub fn encode(trace: &Trace) -> Bytes {
     buf.put_u64_le(trace.requests.len() as u64);
     for r in &trace.requests {
         buf.put_f64_le(r.arrival_us);
-        buf.put_u64_le(r.lpn);
-        buf.put_u32_le(r.pages);
-        buf.put_u8(match r.op {
+        buf.put_u64_le(r.lpn());
+        buf.put_u32_le(r.pages());
+        buf.put_u8(match r.op() {
             IoOp::Read => 0,
             IoOp::Write => 1,
         });
@@ -66,7 +79,8 @@ pub fn encode(trace: &Trace) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for truncated input, a bad magic prefix, an
-/// unknown op code or a non-UTF-8 name.
+/// unknown op code, a non-UTF-8 name or a record out of the in-memory
+/// request's range.
 pub fn decode(mut data: &[u8]) -> Result<Trace, DecodeError> {
     if data.len() < 6 {
         return Err(DecodeError::Truncated);
@@ -94,7 +108,7 @@ pub fn decode(mut data: &[u8]) -> Result<Trace, DecodeError> {
     }
     // Fits in usize: the records were just bounded by the input length.
     let mut requests = Vec::with_capacity(count as usize);
-    for _ in 0..count {
+    for index in 0..count {
         let arrival_us = data.get_f64_le();
         let lpn = data.get_u64_le();
         let pages = data.get_u32_le();
@@ -104,12 +118,9 @@ pub fn decode(mut data: &[u8]) -> Result<Trace, DecodeError> {
             other => return Err(DecodeError::BadOp(other)),
         };
         data.advance(3);
-        requests.push(IoRequest {
-            arrival_us,
-            lpn,
-            pages,
-            op,
-        });
+        let request = IoRequest::try_new(arrival_us, lpn, pages, op)
+            .ok_or(DecodeError::RecordOutOfRange { index })?;
+        requests.push(request);
     }
     Ok(Trace {
         name,
@@ -223,12 +234,7 @@ mod tests {
         let trace = Trace {
             name: "x".into(),
             footprint_pages: 10,
-            requests: vec![IoRequest {
-                arrival_us: 0.0,
-                lpn: 0,
-                pages: 1,
-                op: IoOp::Read,
-            }],
+            requests: vec![IoRequest::new(0.0, 0, 1, IoOp::Read)],
         };
         let mut bytes = encode(&trace).to_vec();
         // Corrupt the op byte (offset: 4 magic + 2 len + 1 name + 16 header
@@ -246,6 +252,39 @@ mod tests {
         let encoded = encode(&trace);
         // 24 bytes per request plus a small header.
         assert!(encoded.len() < 24 * 1_000 + 64);
+    }
+
+    /// One raw 24-byte record.
+    fn record(arrival_us: f64, lpn: u64, pages: u32, op: u8) -> Vec<u8> {
+        let mut bytes = arrival_us.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&lpn.to_le_bytes());
+        bytes.extend_from_slice(&pages.to_le_bytes());
+        bytes.extend_from_slice(&[op, 0, 0, 0]);
+        bytes
+    }
+
+    #[test]
+    fn rejects_records_out_of_packed_range() {
+        let ok = record(0.0, 3, 1, 0);
+        for (lpn, pages) in [
+            (u64::MAX, 1),
+            (IoRequest::LPN_LIMIT, 1),
+            (3, u32::MAX),
+            (3, IoRequest::MAX_PAGES + 1),
+        ] {
+            let bytes = framed("h", &[ok.clone(), record(1.0, lpn, pages, 1)], &[]);
+            assert_eq!(
+                decode(&bytes),
+                Err(DecodeError::RecordOutOfRange { index: 1 })
+            );
+        }
+        // The largest packable values still decode and re-encode exactly.
+        let edge = record(2.0, IoRequest::LPN_LIMIT - 1, IoRequest::MAX_PAGES, 1);
+        let bytes = framed("h", &[ok, edge], &[]);
+        let trace = decode(&bytes).expect("in-range records decode");
+        assert_eq!(trace.requests[1].lpn(), IoRequest::LPN_LIMIT - 1);
+        assert_eq!(trace.requests[1].pages(), IoRequest::MAX_PAGES);
+        assert_eq!(&encode(&trace)[..], &bytes[..]);
     }
 
     /// A well-formed header over raw 24-byte `records`, then `tail`.
@@ -268,15 +307,25 @@ mod tests {
         /// typed error or a trace, never a panic. A decoded trace
         /// re-encodes to the input's prefix, except for the three padding
         /// bytes per record, which decoding ignores and encoding writes
-        /// as zero.
+        /// as zero. With `in_range` the records' top lpn and page bytes
+        /// are cleared first, so most frames fit `IoRequest`'s packing
+        /// and the re-encoding check sees non-empty traces.
         #[test]
         fn decode_is_total_and_reencodes_its_prefix(
             raw in proptest::collection::vec(0u8..=255, 0..96),
             name in "[a-z]{0,6}",
             records in proptest::collection::vec(proptest::collection::vec(0u8..=2, 24), 0..4),
+            in_range in proptest::bool::ANY,
             flip in (0usize..256, 0u8..=255),
             forged_count in (proptest::bool::ANY, 0u64..=u64::MAX),
         ) {
+            let mut records = records;
+            if in_range {
+                for record in &mut records {
+                    record[14..16].fill(0); // lpn < 2^48
+                    record[18..20].fill(0); // pages ≤ 0x0202
+                }
+            }
             let mut framed = framed(&name, &records, &raw);
             if forged_count.0 {
                 let at = 4 + 2 + name.len() + 8;

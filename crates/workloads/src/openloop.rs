@@ -186,6 +186,12 @@ impl TenantWorkload {
             "tenant {tenant}: empty working set"
         );
         assert!(
+            self.first_lpn
+                .checked_add(self.working_set_pages)
+                .is_some_and(|end| end <= IoRequest::LPN_LIMIT),
+            "tenant {tenant}: working set ends past lpn 2^48"
+        );
+        assert!(
             (0.0..=1.0).contains(&self.read_fraction),
             "tenant {tenant}: read fraction {} outside [0, 1]",
             self.read_fraction
@@ -254,12 +260,7 @@ impl TenantStream {
         }
         let remaining = self.profile.working_set_pages - offset;
         let pages = pages.min(remaining.min(16) as u32).max(1);
-        self.pending = Some(IoRequest {
-            arrival_us: self.clock_us,
-            lpn,
-            pages,
-            op,
-        });
+        self.pending = Some(IoRequest::new(self.clock_us, lpn, pages, op));
     }
 }
 
@@ -302,7 +303,8 @@ impl OpenLoopSource {
     /// # Panics
     ///
     /// Panics if `tenants` is empty or any profile is invalid (empty working
-    /// set, read fraction outside `[0, 1]`, non-positive interarrival).
+    /// set or one ending past [`IoRequest::LPN_LIMIT`], read fraction
+    /// outside `[0, 1]`, non-positive interarrival).
     pub fn new(tenants: Vec<TenantWorkload>, seed: u64) -> OpenLoopSource {
         assert!(!tenants.is_empty(), "open-loop source needs >= 1 tenant");
         let mut footprint_pages = 0;
@@ -403,12 +405,12 @@ mod tests {
         for r in &all {
             assert!(r.request.arrival_us >= last, "arrival order violated");
             last = r.request.arrival_us;
-            assert!(r.request.lpn + r.request.pages as u64 <= footprint);
-            assert!(r.request.pages >= 1 && r.request.pages <= 16);
+            assert!(r.request.lpn() + r.request.pages() as u64 <= footprint);
+            assert!(r.request.pages() >= 1 && r.request.pages() <= 16);
             if r.tenant == 0 {
-                assert!(r.request.lpn < 2_048);
+                assert!(r.request.lpn() < 2_048);
             } else {
-                assert!(r.request.lpn >= 2_048);
+                assert!(r.request.lpn() >= 2_048);
             }
         }
     }
@@ -455,7 +457,7 @@ mod tests {
         let mut source = OpenLoopSource::new(tenants, 3);
         let mut counts = std::collections::HashMap::new();
         while let Some(r) = source.next_request() {
-            *counts.entry(r.request.lpn).or_insert(0u64) += 1;
+            *counts.entry(r.request.lpn()).or_insert(0u64) += 1;
         }
         let mut freqs: Vec<u64> = counts.values().copied().collect();
         freqs.sort_unstable_by(|a, b| b.cmp(a));
@@ -498,6 +500,15 @@ mod tests {
     fn bad_read_fraction_rejected() {
         let _ = OpenLoopSource::new(
             vec![TenantWorkload::new(0, 64, 1.0).with_read_fraction(1.5)],
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past lpn 2^48")]
+    fn unpackable_working_set_rejected() {
+        let _ = OpenLoopSource::new(
+            vec![TenantWorkload::new(IoRequest::LPN_LIMIT - 8, 64, 1.0)],
             1,
         );
     }

@@ -191,7 +191,16 @@ impl WorkloadSpec {
     ///
     /// Popularity ranks are scattered across the address space with a
     /// multiplicative hash so the hot set is not spatially contiguous.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the footprint exceeds [`IoRequest::LPN_LIMIT`] pages.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Trace {
+        assert!(
+            self.footprint_pages <= IoRequest::LPN_LIMIT,
+            "footprint {} pages exceeds the 2^48-page request address space",
+            self.footprint_pages
+        );
         let zipf = ZipfSampler::new(self.footprint_pages, self.zipf_theta);
         let mut requests = Vec::with_capacity(self.requests as usize);
         let mut clock = 0.0f64;
@@ -231,12 +240,7 @@ impl WorkloadSpec {
             let pages = pages
                 .min((self.footprint_pages - lpn).min(16) as u32)
                 .max(1);
-            requests.push(IoRequest {
-                arrival_us: clock,
-                lpn,
-                pages,
-                op,
-            });
+            requests.push(IoRequest::new(clock, lpn, pages, op));
             cursor = Some((lpn, pages));
         }
         Trace {
@@ -307,6 +311,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "request address space")]
+    fn unaddressable_footprint_rejected() {
+        let _ = WorkloadSpec::fin2()
+            .with_requests(1)
+            .with_footprint(IoRequest::LPN_LIMIT + 1)
+            .generate(&mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let spec = WorkloadSpec::fin2().with_requests(1_000);
         let a = spec.generate(&mut StdRng::seed_from_u64(7));
@@ -325,7 +338,7 @@ mod tests {
         let trace = spec.generate(&mut rng);
         let mut counts = std::collections::HashMap::new();
         for r in &trace.requests {
-            *counts.entry(r.lpn).or_insert(0u64) += 1;
+            *counts.entry(r.lpn()).or_insert(0u64) += 1;
         }
         let mut sorted: Vec<u64> = counts.values().copied().collect();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -346,7 +359,7 @@ mod tests {
         let sequential = trace
             .requests
             .windows(2)
-            .filter(|w| w[1].lpn == (w[0].lpn + w[0].pages as u64) % spec.footprint_pages)
+            .filter(|w| w[1].lpn() == (w[0].lpn() + w[0].pages() as u64) % spec.footprint_pages)
             .count();
         let fraction = sequential as f64 / (trace.len() - 1) as f64;
         assert!(
@@ -379,7 +392,8 @@ mod tests {
         let spec = WorkloadSpec::prj1().with_requests(20_000);
         let mut rng = StdRng::seed_from_u64(6);
         let trace = spec.generate(&mut rng);
-        let mean = trace.requests.iter().map(|r| r.pages as f64).sum::<f64>() / trace.len() as f64;
+        let mean =
+            trace.requests.iter().map(|r| r.pages() as f64).sum::<f64>() / trace.len() as f64;
         assert!(
             (mean - spec.mean_request_pages).abs() < 0.8,
             "mean request pages {mean} vs {}",

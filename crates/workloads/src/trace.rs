@@ -15,23 +15,93 @@ pub enum IoOp {
     Write,
 }
 
-/// One host I/O request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One host I/O request, 16 bytes in memory.
+///
+/// The arrival time is a plain field; the first page, the page count and
+/// the direction share one packed word (`lpn` in the low 48 bits, `pages`
+/// in the next 15, the op in the top bit), read through [`lpn`](Self::lpn),
+/// [`pages`](Self::pages) and [`op`](Self::op). A replayed trace is a
+/// `Vec` of these, so the packing is what bounds a long trace's memory.
+/// On disk (`codec`, FXT1) each request stays a 24-byte record.
+#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IoRequest {
     /// Arrival time in microseconds from trace start.
     pub arrival_us: f64,
-    /// First logical page touched.
-    pub lpn: u64,
-    /// Number of consecutive pages touched (≥ 1).
-    pub pages: u32,
-    /// Read or write.
-    pub op: IoOp,
+    packed: u64,
 }
 
+const LPN_BITS: u32 = 48;
+const PAGES_BITS: u32 = 15;
+const WRITE_BIT: u64 = 1 << (LPN_BITS + PAGES_BITS);
+
 impl IoRequest {
+    /// Exclusive upper bound on a request's first logical page (2^48).
+    pub const LPN_LIMIT: u64 = 1 << LPN_BITS;
+    /// Largest page count a request can carry (2^15 − 1). Zero is
+    /// representable so [`Trace::validate`] can report it.
+    pub const MAX_PAGES: u32 = (1 << PAGES_BITS) - 1;
+
+    /// Packs one request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn >= IoRequest::LPN_LIMIT` or
+    /// `pages > IoRequest::MAX_PAGES`; [`try_new`](Self::try_new) is the
+    /// fallible form for untrusted input.
+    pub fn new(arrival_us: f64, lpn: u64, pages: u32, op: IoOp) -> IoRequest {
+        IoRequest::try_new(arrival_us, lpn, pages, op)
+            .unwrap_or_else(|| panic!("request out of range: lpn {lpn}, pages {pages}"))
+    }
+
+    /// Packs one request, or `None` if `lpn` or `pages` exceeds its limit.
+    pub fn try_new(arrival_us: f64, lpn: u64, pages: u32, op: IoOp) -> Option<IoRequest> {
+        if lpn >= IoRequest::LPN_LIMIT || pages > IoRequest::MAX_PAGES {
+            return None;
+        }
+        let op = match op {
+            IoOp::Read => 0,
+            IoOp::Write => WRITE_BIT,
+        };
+        Some(IoRequest {
+            arrival_us,
+            packed: lpn | u64::from(pages) << LPN_BITS | op,
+        })
+    }
+
+    /// First logical page touched.
+    pub fn lpn(&self) -> u64 {
+        self.packed & (IoRequest::LPN_LIMIT - 1)
+    }
+
+    /// Number of consecutive pages touched (≥ 1 in a valid trace).
+    pub fn pages(&self) -> u32 {
+        (self.packed >> LPN_BITS) as u32 & IoRequest::MAX_PAGES
+    }
+
+    /// Read or write.
+    pub fn op(&self) -> IoOp {
+        if self.packed & WRITE_BIT == 0 {
+            IoOp::Read
+        } else {
+            IoOp::Write
+        }
+    }
+
     /// Iterates over the logical pages this request touches.
-    pub fn lpns(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lpn..self.lpn + self.pages as u64
+    pub fn lpns(&self) -> std::ops::Range<u64> {
+        let lpn = self.lpn();
+        lpn..lpn + self.pages() as u64
+    }
+}
+
+impl std::fmt::Debug for IoRequest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IoRequest")
+            .field("arrival_us", &self.arrival_us)
+            .field("lpn", &self.lpn())
+            .field("pages", &self.pages())
+            .field("op", &self.op())
+            .finish()
     }
 }
 
@@ -73,7 +143,10 @@ impl Trace {
         if self.requests.is_empty() {
             return 0.0;
         }
-        self.requests.iter().filter(|r| r.op == IoOp::Read).count() as f64
+        self.requests
+            .iter()
+            .filter(|r| r.op() == IoOp::Read)
+            .count() as f64
             / self.requests.len() as f64
     }
 
@@ -82,9 +155,9 @@ impl Trace {
         let mut reads = 0;
         let mut writes = 0;
         for r in &self.requests {
-            match r.op {
-                IoOp::Read => reads += r.pages as u64,
-                IoOp::Write => writes += r.pages as u64,
+            match r.op() {
+                IoOp::Read => reads += r.pages() as u64,
+                IoOp::Write => writes += r.pages() as u64,
             }
         }
         (reads, writes)
@@ -107,11 +180,12 @@ impl Trace {
                 return Err(TraceError::UnsortedArrivals { index: i });
             }
             prev = r.arrival_us;
-            if r.pages == 0 {
+            if r.pages() == 0 {
                 return Err(TraceError::EmptyRequest { index: i });
             }
-            if r.lpn + r.pages as u64 > self.footprint_pages {
-                return Err(TraceError::OutOfFootprint { index: i });
+            match r.lpn().checked_add(r.pages() as u64) {
+                Some(end) if end <= self.footprint_pages => {}
+                _ => return Err(TraceError::OutOfFootprint { index: i }),
             }
         }
         Ok(())
@@ -227,24 +301,9 @@ mod tests {
             name: "t".into(),
             footprint_pages: 100,
             requests: vec![
-                IoRequest {
-                    arrival_us: 0.0,
-                    lpn: 0,
-                    pages: 4,
-                    op: IoOp::Read,
-                },
-                IoRequest {
-                    arrival_us: 10.0,
-                    lpn: 50,
-                    pages: 2,
-                    op: IoOp::Write,
-                },
-                IoRequest {
-                    arrival_us: 30.0,
-                    lpn: 4,
-                    pages: 1,
-                    op: IoOp::Read,
-                },
+                IoRequest::new(0.0, 0, 4, IoOp::Read),
+                IoRequest::new(10.0, 50, 2, IoOp::Write),
+                IoRequest::new(30.0, 4, 1, IoOp::Read),
             ],
         }
     }
@@ -261,14 +320,54 @@ mod tests {
 
     #[test]
     fn lpn_iteration() {
-        let r = IoRequest {
-            arrival_us: 0.0,
-            lpn: 7,
-            pages: 3,
-            op: IoOp::Write,
-        };
+        let r = IoRequest::new(0.0, 7, 3, IoOp::Write);
         let lpns: Vec<u64> = r.lpns().collect();
         assert_eq!(lpns, vec![7, 8, 9]);
+    }
+
+    /// A replayed trace is a `Vec<IoRequest>`, so this width is the
+    /// trace's memory per request.
+    #[test]
+    fn requests_stay_two_words_wide() {
+        assert_eq!(std::mem::size_of::<IoRequest>(), 16);
+        assert_eq!(std::mem::size_of::<crate::TenantRequest>(), 24);
+    }
+
+    #[test]
+    fn packing_round_trips_every_field_at_its_limits() {
+        for lpn in [0, 1, 0xABCD_EF01_2345, IoRequest::LPN_LIMIT - 1] {
+            for pages in [0, 1, 16, IoRequest::MAX_PAGES] {
+                for op in [IoOp::Read, IoOp::Write] {
+                    let r = IoRequest::new(-0.5, lpn, pages, op);
+                    assert_eq!(
+                        (r.arrival_us, r.lpn(), r.pages(), r.op()),
+                        (-0.5, lpn, pages, op)
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            IoRequest::try_new(0.0, IoRequest::LPN_LIMIT, 1, IoOp::Read),
+            None
+        );
+        assert_eq!(
+            IoRequest::try_new(0.0, 0, IoRequest::MAX_PAGES + 1, IoOp::Read),
+            None
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "request out of range")]
+    fn new_rejects_an_unpackable_lpn() {
+        let _ = IoRequest::new(0.0, u64::MAX, 1, IoOp::Read);
+    }
+
+    #[test]
+    fn debug_keeps_the_field_names() {
+        assert_eq!(
+            format!("{:?}", IoRequest::new(1.5, 7, 3, IoOp::Write)),
+            "IoRequest { arrival_us: 1.5, lpn: 7, pages: 3, op: Write }"
+        );
     }
 
     #[test]
@@ -286,15 +385,14 @@ mod tests {
     #[test]
     fn validation_catches_zero_length() {
         let mut t = sample();
-        t.requests[1].pages = 0;
+        t.requests[1] = IoRequest::new(10.0, 50, 0, IoOp::Write);
         assert_eq!(t.validate(), Err(TraceError::EmptyRequest { index: 1 }));
     }
 
     #[test]
     fn validation_catches_footprint_overflow() {
         let mut t = sample();
-        t.requests[1].lpn = 99;
-        t.requests[1].pages = 5;
+        t.requests[1] = IoRequest::new(10.0, 99, 5, IoOp::Write);
         assert_eq!(t.validate(), Err(TraceError::OutOfFootprint { index: 1 }));
     }
 

@@ -26,6 +26,11 @@ use serde::{Deserialize, Serialize};
 pub struct ZipfSampler {
     n: u64,
     theta: f64,
+    /// `n + 1`: the upper end of the continuous support.
+    m: f64,
+    /// `(m^(1−θ) − 1, 1/(1−θ))`, or `None` on the θ = 1 branch. Fixed by
+    /// `n` and θ, so [`rank_for`](Self::rank_for) pays one `powf`.
+    general: Option<(f64, f64)>,
 }
 
 impl ZipfSampler {
@@ -40,7 +45,17 @@ impl ZipfSampler {
             theta.is_finite() && theta >= 0.0,
             "invalid Zipf theta {theta}"
         );
-        ZipfSampler { n, theta }
+        let m = (n + 1) as f64;
+        let general = ((theta - 1.0).abs() >= 1e-9).then(|| {
+            let e = 1.0 - theta;
+            (m.powf(e) - 1.0, 1.0 / e)
+        });
+        ZipfSampler {
+            n,
+            theta,
+            m,
+            general,
+        }
     }
 
     /// Number of ranks.
@@ -68,14 +83,11 @@ impl ZipfSampler {
     /// open-loop arrival sources) can sample without a [`Rng`].
     pub fn rank_for(&self, u: f64) -> u64 {
         let u = u.max(f64::MIN_POSITIVE);
-        let m = (self.n + 1) as f64;
-        let k = if (self.theta - 1.0).abs() < 1e-9 {
+        let k = match self.general {
             // θ = 1: continuous CDF is ln(k)/ln(m).
-            m.powf(u)
-        } else {
+            None => self.m.powf(u),
             // General θ: CDF ∝ (k^(1−θ) − 1) / (m^(1−θ) − 1).
-            let e = 1.0 - self.theta;
-            ((m.powf(e) - 1.0) * u + 1.0).powf(1.0 / e)
+            Some((span, inv_e)) => (span * u + 1.0).powf(inv_e),
         };
         (k.floor() as u64).saturating_sub(1).min(self.n - 1)
     }
@@ -149,6 +161,39 @@ mod tests {
         let zipf = ZipfSampler::new(1, 0.9);
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(zipf.sample(&mut rng), 0);
+    }
+
+    /// `rank_for` as it was before its constants moved into `new`.
+    fn inline_rank(n: u64, theta: f64, u: f64) -> u64 {
+        let u = u.max(f64::MIN_POSITIVE);
+        let m = (n + 1) as f64;
+        let k = if (theta - 1.0).abs() < 1e-9 {
+            m.powf(u)
+        } else {
+            let e = 1.0 - theta;
+            ((m.powf(e) - 1.0) * u + 1.0).powf(1.0 / e)
+        };
+        (k.floor() as u64).saturating_sub(1).min(n - 1)
+    }
+
+    #[test]
+    fn precomputed_constants_keep_every_rank_bit_identical() {
+        let near_one = 1.0 - f64::EPSILON;
+        let mut us = vec![0.0, f64::MIN_POSITIVE, 1e-300, 0.5, 0.999_999, near_one];
+        let mut rng = StdRng::seed_from_u64(5);
+        us.extend((0..200).map(|_| rng.gen::<f64>()));
+        for n in [1, 2, 7, 1_000, 1 << 17, 1 << 18, 1 << 40] {
+            for theta in [0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.0 + 5e-10, 1.2, 3.0] {
+                let zipf = ZipfSampler::new(n, theta);
+                for &u in &us {
+                    assert_eq!(
+                        zipf.rank_for(u),
+                        inline_rank(n, theta, u),
+                        "n {n}, theta {theta}, u {u}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

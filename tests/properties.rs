@@ -103,12 +103,8 @@ proptest! {
             .into_iter()
             .map(|(gap, lpn, pages, is_read)| {
                 arrival += gap;
-                IoRequest {
-                    arrival_us: arrival,
-                    lpn,
-                    pages,
-                    op: if is_read { IoOp::Read } else { IoOp::Write },
-                }
+                let op = if is_read { IoOp::Read } else { IoOp::Write };
+                IoRequest::new(arrival, lpn, pages, op)
             })
             .collect();
         let trace = Trace { name, footprint_pages: 2_000_000, requests };
