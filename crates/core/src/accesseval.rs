@@ -15,9 +15,9 @@
 //!   least-recently-accessed data back to normal pages when the pool
 //!   fills.
 
-use std::collections::{BTreeMap, HashMap};
-
 use serde::{Deserialize, Serialize};
+
+use crate::page_state::{LruSet, LruSnapshotError, PageColumn};
 
 /// Configuration of the AccessEval policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,8 +75,31 @@ impl Default for AccessEvalConfig {
 #[derive(Debug, Clone)]
 pub struct HloIdentifier {
     config: AccessEvalConfig,
-    read_counts: HashMap<u64, u32>,
+    read_counts: PageColumn<ReadCount>,
+    /// Aging passes so far (modulo rebasing); a count stored at epoch
+    /// `e` has been halved `epoch_now − e` times since.
+    epoch_now: u32,
     reads_since_aging: u64,
+}
+
+/// One page's read counter and the aging epoch it was last written in.
+/// Aging is lazy: `k` integer halvings of an unsigned count equal one
+/// shift by `k`, so the pending halvings are applied on the next access
+/// instead of by a pass over every page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReadCount {
+    count: u32,
+    epoch: u32,
+}
+
+impl ReadCount {
+    const ZERO: ReadCount = ReadCount { count: 0, epoch: 0 };
+
+    /// The count after the halvings pending since its epoch.
+    #[inline]
+    fn at(self, epoch_now: u32) -> u32 {
+        self.count.checked_shr(epoch_now - self.epoch).unwrap_or(0)
+    }
 }
 
 impl HloIdentifier {
@@ -84,7 +107,8 @@ impl HloIdentifier {
     pub fn new(config: AccessEvalConfig) -> HloIdentifier {
         HloIdentifier {
             config,
-            read_counts: HashMap::new(),
+            read_counts: PageColumn::new(ReadCount::ZERO),
+            epoch_now: 0,
             reads_since_aging: 0,
         }
     }
@@ -92,9 +116,13 @@ impl HloIdentifier {
     /// Records a read of `lpn` and returns its current frequency level
     /// (1 ..= `freq_levels`).
     pub fn record_read(&mut self, lpn: u64) -> u32 {
-        let count = self.read_counts.entry(lpn).or_insert(0);
-        *count = count.saturating_add(1);
-        let count = *count;
+        let epoch_now = self.epoch_now;
+        let entry = self.read_counts.get_mut(lpn);
+        let count = entry.at(epoch_now).saturating_add(1);
+        *entry = ReadCount {
+            count,
+            epoch: epoch_now,
+        };
         let level = self.freq_level_for_count(count);
         self.reads_since_aging += 1;
         if self.reads_since_aging >= self.config.aging_period {
@@ -105,7 +133,7 @@ impl HloIdentifier {
 
     /// Current frequency level of `lpn` without recording a read.
     pub fn freq_level(&self, lpn: u64) -> u32 {
-        self.freq_level_for_count(self.read_counts.get(&lpn).copied().unwrap_or(0))
+        self.freq_level_for_count(self.read_counts.get(lpn).at(self.epoch_now))
     }
 
     fn freq_level_for_count(&self, count: u32) -> u32 {
@@ -147,21 +175,51 @@ impl HloIdentifier {
 
     /// Forgets a page (overwritten or trimmed).
     pub fn invalidate(&mut self, lpn: u64) {
-        self.read_counts.remove(&lpn);
+        self.read_counts.remove(lpn);
     }
 
-    /// Ages all counters (halves them), dropping cold entries.
+    /// Ages all counters (halves them), dropping cold entries. O(1): the
+    /// halving is applied to each page on its next access.
     pub fn age(&mut self) {
         self.reads_since_aging = 0;
-        self.read_counts.retain(|_, c| {
-            *c /= 2;
-            *c > 0
-        });
+        if self.epoch_now == u32::MAX {
+            // Once per 2^32 passes: apply every pending shift so stored
+            // epochs can restart at zero.
+            let live = self.snapshot();
+            self.restore(&live, 0);
+        }
+        self.epoch_now += 1;
     }
 
-    /// Number of tracked pages.
+    fn live_counts(&self, epoch_now: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.read_counts
+            .entries()
+            .map(move |(lpn, entry)| (lpn, entry.at(epoch_now)))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// Number of tracked pages (non-zero counters). Walks the column, so
+    /// it is for diagnostics, not the request path.
     pub fn tracked_pages(&self) -> usize {
-        self.read_counts.len()
+        self.live_counts(self.epoch_now).count()
+    }
+
+    /// The non-zero read counters as `(lpn, count)`, sorted by LPN.
+    pub fn snapshot(&self) -> Vec<(u64, u32)> {
+        self.live_counts(self.epoch_now).collect()
+    }
+
+    /// Replaces every counter with `read_counts` (as [`snapshot`]
+    /// emits them) and the aging progress with `reads_since_aging`.
+    ///
+    /// [`snapshot`]: Self::snapshot
+    fn restore(&mut self, read_counts: &[(u64, u32)], reads_since_aging: u64) {
+        self.read_counts.clear();
+        self.epoch_now = 0;
+        for &(lpn, count) in read_counts {
+            self.read_counts.set(lpn, ReadCount { count, epoch: 0 });
+        }
+        self.reads_since_aging = reads_since_aging;
     }
 }
 
@@ -169,10 +227,7 @@ impl HloIdentifier {
 /// cells.
 #[derive(Debug, Clone)]
 pub struct ReducedCellPool {
-    capacity: u64,
-    next_seq: u64,
-    by_lpn: HashMap<u64, u64>,
-    by_seq: BTreeMap<u64, u64>,
+    pages: LruSet,
 }
 
 /// Size of one ReducedCell pool metadata entry (paper §5: 4 bytes).
@@ -182,85 +237,55 @@ impl ReducedCellPool {
     /// Creates a pool holding at most `capacity` pages.
     pub fn new(capacity: u64) -> ReducedCellPool {
         ReducedCellPool {
-            capacity,
-            next_seq: 0,
-            by_lpn: HashMap::new(),
-            by_seq: BTreeMap::new(),
+            pages: LruSet::new(capacity),
         }
     }
 
     /// Pages currently in the pool.
     pub fn len(&self) -> u64 {
-        self.by_lpn.len() as u64
+        self.pages.len()
     }
 
     /// `true` when no pages are pooled.
     pub fn is_empty(&self) -> bool {
-        self.by_lpn.is_empty()
+        self.pages.is_empty()
     }
 
     /// Maximum pages the pool may hold.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.pages.capacity()
     }
 
     /// `true` if `lpn` is stored in reduced-state cells.
     pub fn contains(&self, lpn: u64) -> bool {
-        self.by_lpn.contains_key(&lpn)
+        self.pages.contains(lpn)
     }
 
     /// Marks `lpn` as recently accessed.
     pub fn touch(&mut self, lpn: u64) {
-        if let Some(old_seq) = self.by_lpn.get(&lpn).copied() {
-            self.by_seq.remove(&old_seq);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.by_seq.insert(seq, lpn);
-            self.by_lpn.insert(lpn, seq);
-        }
+        self.pages.touch(lpn);
     }
 
     /// Inserts `lpn`, returning the evicted least-recently-used page if
     /// the pool was full. Inserting an existing page just touches it.
     pub fn insert(&mut self, lpn: u64) -> Option<u64> {
-        if self.contains(lpn) {
-            self.touch(lpn);
-            return None;
-        }
-        let evicted = if self.len() >= self.capacity {
-            self.pop_lru()
-        } else {
-            None
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_seq.insert(seq, lpn);
-        self.by_lpn.insert(lpn, seq);
-        evicted
+        self.pages.insert(lpn)
     }
 
     /// Removes and returns the least-recently-used page.
     pub fn pop_lru(&mut self) -> Option<u64> {
-        let (&seq, &lpn) = self.by_seq.iter().next()?;
-        self.by_seq.remove(&seq);
-        self.by_lpn.remove(&lpn);
-        Some(lpn)
+        self.pages.pop_lru()
     }
 
     /// Removes a specific page (overwrite/trim).
     pub fn remove(&mut self, lpn: u64) -> bool {
-        if let Some(seq) = self.by_lpn.remove(&lpn) {
-            self.by_seq.remove(&seq);
-            true
-        } else {
-            false
-        }
+        self.pages.remove(lpn)
     }
 
     /// Metadata footprint of the pool at full occupancy (paper §5: 4-byte
     /// entries; 32 GB of 16 KB reduced pages ⇒ 8 MB).
     pub fn metadata_bytes(&self) -> u64 {
-        self.capacity * POOL_ENTRY_BYTES
+        self.capacity() * POOL_ENTRY_BYTES
     }
 }
 
@@ -418,56 +443,36 @@ impl AccessEvalController {
 
     /// Captures the controller's mutable state for checkpointing.
     pub fn snapshot(&self) -> AccessEvalSnapshot {
-        let mut read_counts: Vec<(u64, u32)> = self
-            .identifier
-            .read_counts
-            .iter()
-            .map(|(&lpn, &count)| (lpn, count))
-            .collect();
-        read_counts.sort_unstable_by_key(|&(lpn, _)| lpn);
         AccessEvalSnapshot {
-            read_counts,
+            read_counts: self.identifier.snapshot(),
             reads_since_aging: self.identifier.reads_since_aging,
-            pool: self
-                .pool
-                .by_seq
-                .iter()
-                .map(|(&seq, &lpn)| (seq, lpn))
-                .collect(),
-            pool_next_seq: self.pool.next_seq,
+            pool: self.pool.pages.entries(),
+            pool_next_seq: self.pool.pages.next_seq(),
             stats: self.stats,
         }
     }
 
     /// Restores the state captured by [`snapshot`](Self::snapshot) into a
     /// controller built with the *same* configuration, validating the
-    /// pool entries (untrusted input fails typed, never panics).
+    /// pool entries (untrusted input fails typed, never panics). The
+    /// per-page columns grow to the largest LPN listed, so callers
+    /// holding an untrusted snapshot bound its LPNs first.
     ///
     /// # Errors
     ///
     /// A static description of the first inconsistency found.
     pub fn restore(&mut self, snap: &AccessEvalSnapshot) -> Result<(), &'static str> {
-        if snap.pool.len() as u64 > self.pool.capacity {
-            return Err("pool snapshot exceeds capacity");
-        }
-        let mut by_seq = BTreeMap::new();
-        let mut by_lpn = HashMap::new();
-        for &(seq, lpn) in &snap.pool {
-            if seq >= snap.pool_next_seq {
-                return Err("pool entry at or after the sequence counter");
+        let pages = LruSet::from_entries(self.pool.capacity(), &snap.pool, snap.pool_next_seq);
+        self.pool.pages = pages.map_err(|e| match e {
+            LruSnapshotError::OverCapacity => "pool snapshot exceeds capacity",
+            LruSnapshotError::SequenceNotBelowCounter => {
+                "pool entry at or after the sequence counter"
             }
-            if by_seq.insert(seq, lpn).is_some() {
-                return Err("duplicate pool sequence");
-            }
-            if by_lpn.insert(lpn, seq).is_some() {
-                return Err("duplicate pooled page");
-            }
-        }
-        self.pool.by_seq = by_seq;
-        self.pool.by_lpn = by_lpn;
-        self.pool.next_seq = snap.pool_next_seq;
-        self.identifier.read_counts = snap.read_counts.iter().copied().collect();
-        self.identifier.reads_since_aging = snap.reads_since_aging;
+            LruSnapshotError::DuplicateSequence => "duplicate pool sequence",
+            LruSnapshotError::DuplicatePage => "duplicate pooled page",
+        })?;
+        self.identifier
+            .restore(&snap.read_counts, snap.reads_since_aging);
         self.stats = snap.stats;
         Ok(())
     }
@@ -568,6 +573,37 @@ mod tests {
         assert_eq!(id.tracked_pages(), 1, "1/2 = 0 dropped");
         id.age();
         assert_eq!(id.freq_level(1), 1, "4/2 = 2 cooled off");
+    }
+
+    #[test]
+    fn read_counter_stays_two_words() {
+        // Bytes per logical page of the HLO column; DESIGN.md §5
+        // budgets it.
+        assert_eq!(std::mem::size_of::<ReadCount>(), 8);
+    }
+
+    #[test]
+    fn lazy_aging_survives_the_epoch_rebase() {
+        let mut id = HloIdentifier::new(small_config(8));
+        id.epoch_now = u32::MAX - 1;
+        for _ in 0..40 {
+            id.record_read(1);
+        }
+        id.record_read(2);
+        id.age();
+        assert_eq!(id.epoch_now, u32::MAX);
+        // The pass at the last epoch rebases every stored count to 0.
+        id.age();
+        assert_eq!(id.epoch_now, 1);
+        assert_eq!(id.snapshot(), vec![(1, 10)], "40 >> 2, 1 >> 2 dropped");
+        id.record_read(1);
+        id.age();
+        assert_eq!(id.snapshot(), vec![(1, 5)], "(10 + 1) >> 1");
+        for _ in 0..3 {
+            id.age();
+        }
+        assert_eq!(id.tracked_pages(), 0);
+        assert_eq!(id.freq_level(1), 1);
     }
 
     #[test]

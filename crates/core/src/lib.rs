@@ -19,6 +19,8 @@
 //! * [`accesseval`] — the FTL policy (§5): score LDPC overhead as
 //!   `L_f × L_sensing`, keep only high-overhead data in the bounded,
 //!   LRU-managed ReducedCell pool.
+//! * [`page_state`] — dense LPN-indexed columns and the O(1) [`LruSet`]
+//!   that hold AccessEval's and the simulator's per-page state.
 //! * [`capacity`] — the capacity accounting behind the paper's headline
 //!   "6 % capacity loss".
 //!
@@ -44,6 +46,7 @@ pub mod capacity;
 pub mod level_adjust;
 pub mod nunma;
 pub mod nunma_search;
+pub mod page_state;
 pub mod reduce_code;
 pub mod reduced_array;
 
@@ -57,6 +60,7 @@ pub use level_adjust::{
 };
 pub use nunma::{NunmaConfig, NunmaScheme};
 pub use nunma_search::{NunmaCandidate, SearchOptions};
+pub use page_state::{LruSet, LruSnapshotError, PageColumn};
 pub use reduce_code::{ReduceCode, REDUCE_CODE_BITS};
 pub use reduced_array::{ReducedArrayError, ReducedWordline};
 

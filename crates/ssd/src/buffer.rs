@@ -5,7 +5,7 @@
 //! immediately; dirty pages flush to flash on LRU eviction. Host reads
 //! that hit the buffer skip the flash entirely.
 
-use std::collections::{BTreeMap, HashMap};
+use flexlevel::{LruSet, LruSnapshotError};
 
 /// LRU write-back buffer over logical pages.
 ///
@@ -20,41 +20,35 @@ use std::collections::{BTreeMap, HashMap};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    capacity: u64,
-    next_seq: u64,
-    by_lpn: HashMap<u64, u64>,
-    by_seq: BTreeMap<u64, u64>,
+    pages: LruSet,
 }
 
 impl WriteBuffer {
     /// Creates a buffer holding at most `capacity` dirty pages.
     pub fn new(capacity: u64) -> WriteBuffer {
         WriteBuffer {
-            capacity: capacity.max(1),
-            next_seq: 0,
-            by_lpn: HashMap::new(),
-            by_seq: BTreeMap::new(),
+            pages: LruSet::new(capacity.max(1)),
         }
     }
 
     /// Dirty pages currently buffered.
     pub fn len(&self) -> u64 {
-        self.by_lpn.len() as u64
+        self.pages.len()
     }
 
     /// `true` when the buffer holds no dirty pages.
     pub fn is_empty(&self) -> bool {
-        self.by_lpn.is_empty()
+        self.pages.is_empty()
     }
 
     /// Buffer capacity in pages.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.pages.capacity()
     }
 
     /// `true` if `lpn` has a buffered (dirty) copy.
     pub fn contains(&self, lpn: u64) -> bool {
-        self.by_lpn.contains_key(&lpn)
+        self.pages.contains(lpn)
     }
 
     /// Buffers a write of `lpn`; returns the evicted dirty page that must
@@ -63,52 +57,30 @@ impl WriteBuffer {
     /// Rewriting a buffered page coalesces (no eviction, recency
     /// refreshed) — the write-absorption effect of a write-back buffer.
     pub fn write(&mut self, lpn: u64) -> Option<u64> {
-        if let Some(old_seq) = self.by_lpn.remove(&lpn) {
-            self.by_seq.remove(&old_seq);
-        }
-        let evicted = if self.by_lpn.len() as u64 >= self.capacity {
-            self.pop_lru()
-        } else {
-            None
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_lpn.insert(lpn, seq);
-        self.by_seq.insert(seq, lpn);
-        evicted
+        self.pages.insert(lpn)
     }
 
     /// Marks a buffered page as recently used (on a read hit).
     pub fn touch(&mut self, lpn: u64) {
-        if let Some(old_seq) = self.by_lpn.get(&lpn).copied() {
-            self.by_seq.remove(&old_seq);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.by_lpn.insert(lpn, seq);
-            self.by_seq.insert(seq, lpn);
-        }
+        self.pages.touch(lpn);
     }
 
     /// Removes and returns the least-recently-written dirty page.
     pub fn pop_lru(&mut self) -> Option<u64> {
-        let (&seq, &lpn) = self.by_seq.iter().next()?;
-        self.by_seq.remove(&seq);
-        self.by_lpn.remove(&lpn);
-        Some(lpn)
+        self.pages.pop_lru()
     }
 
     /// Checkpoint view: `(sequence, lpn)` entries in LRU (sequence)
     /// order plus the sequence counter — enough to rebuild the buffer
     /// bit-identically, eviction order included.
     pub fn snapshot(&self) -> (Vec<(u64, u64)>, u64) {
-        (
-            self.by_seq.iter().map(|(&seq, &lpn)| (seq, lpn)).collect(),
-            self.next_seq,
-        )
+        (self.pages.entries(), self.pages.next_seq())
     }
 
     /// Rebuilds a buffer from a [`snapshot`](Self::snapshot), validating
-    /// the entries (untrusted input fails typed, never panics).
+    /// the entries (untrusted input fails typed, never panics). The
+    /// page index grows to the largest LPN listed, so callers holding an
+    /// untrusted snapshot bound its LPNs first.
     ///
     /// # Errors
     ///
@@ -120,28 +92,21 @@ impl WriteBuffer {
         entries: &[(u64, u64)],
         next_seq: u64,
     ) -> Result<WriteBuffer, &'static str> {
-        let mut buf = WriteBuffer::new(capacity);
-        if entries.len() as u64 > buf.capacity {
-            return Err("buffer snapshot exceeds capacity");
-        }
-        for &(seq, lpn) in entries {
-            if seq >= next_seq {
-                return Err("buffer entry at or after the sequence counter");
-            }
-            if buf.by_seq.insert(seq, lpn).is_some() {
-                return Err("duplicate buffer sequence");
-            }
-            if buf.by_lpn.insert(lpn, seq).is_some() {
-                return Err("duplicate buffered page");
-            }
-        }
-        buf.next_seq = next_seq;
-        Ok(buf)
+        let pages =
+            LruSet::from_entries(capacity.max(1), entries, next_seq).map_err(|e| match e {
+                LruSnapshotError::OverCapacity => "buffer snapshot exceeds capacity",
+                LruSnapshotError::SequenceNotBelowCounter => {
+                    "buffer entry at or after the sequence counter"
+                }
+                LruSnapshotError::DuplicateSequence => "duplicate buffer sequence",
+                LruSnapshotError::DuplicatePage => "duplicate buffered page",
+            })?;
+        Ok(WriteBuffer { pages })
     }
 
     /// Drains every dirty page (shutdown flush), LRU first.
     pub fn drain(&mut self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.by_lpn.len());
+        let mut out = Vec::with_capacity(self.pages.len() as usize);
         while let Some(lpn) = self.pop_lru() {
             out.push(lpn);
         }

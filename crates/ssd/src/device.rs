@@ -3,14 +3,13 @@
 //! Every normal-page read needs to know its raw BER (wear + retention age
 //! of the stored data) to determine the soft-sensing cost. Recomputing
 //! the analytic BER integral per read would dominate simulation time, so
-//! queries are quantised into (P/E bucket, age bucket) cells and cached.
+//! queries are quantised into (P/E bucket, age bucket) cells and cached
+//! in a flat grid.
 //! Reduced-page reads use the NUNMA configuration, whose BER stays below
 //! the sensing trigger by design (verified at construction).
 
-use std::collections::HashMap;
-
 use flash_model::{CellMode, CellTech, Hours, LevelConfig, Micros};
-use flexlevel::NunmaScheme;
+use flexlevel::{NunmaScheme, PageColumn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reliability::{analytic, ProgramModel, RetentionModel};
@@ -20,6 +19,41 @@ use crate::pipeline::StageKind;
 /// Quantisation granularity for BER cache keys.
 const PE_BUCKET: u32 = 250;
 const AGE_BUCKETS: u32 = 32;
+/// Cells per P/E row of the BER grid: age buckets `0..=AGE_BUCKETS`.
+const GRID_ROW: usize = AGE_BUCKETS as usize + 1;
+/// P/E buckets the grid caches (wear up to 1 M cycles, 32 KB per mode);
+/// queries past it, which only a forged device image could make, are
+/// evaluated uncached rather than sizing the grid by the forged wear.
+const GRID_PE_BUCKETS: u32 = 4_000;
+/// Age of a page whose age has not been sampled yet.
+const UNSAMPLED: f64 = f64::NEG_INFINITY;
+
+/// Memoised BER per `(P/E bucket, age bucket)` cell, one P/E row of
+/// `GRID_ROW` cells at a time; `NaN` marks a cell not yet evaluated.
+#[derive(Debug, Default)]
+struct BerGrid {
+    cells: Vec<f64>,
+}
+
+impl BerGrid {
+    /// The cell of `(pe_bucket, age_bucket)`, growing the grid to its
+    /// row, or `None` past the cached wear range.
+    fn cell(&mut self, pe_bucket: u32, age_bucket: u32) -> Option<&mut f64> {
+        if pe_bucket >= GRID_PE_BUCKETS {
+            return None;
+        }
+        let row = pe_bucket as usize * GRID_ROW;
+        if self.cells.len() <= row {
+            self.cells.resize(row + GRID_ROW, f64::NAN);
+        }
+        Some(&mut self.cells[row + age_bucket as usize])
+    }
+
+    /// Cells evaluated so far.
+    fn entries(&self) -> usize {
+        self.cells.iter().filter(|ber| !ber.is_nan()).count()
+    }
+}
 
 /// Reliability oracle for the simulated device.
 #[derive(Debug)]
@@ -31,10 +65,11 @@ pub struct ReliabilityState {
     program: ProgramModel,
     retention: RetentionModel,
     max_age: Hours,
-    ages: HashMap<u64, Hours>,
+    /// Retention age in hours per LPN, `UNSAMPLED` before first touch.
+    ages: PageColumn<f64>,
     rng: StdRng,
-    ber_cache: HashMap<(u32, u32), f64>,
-    reduced_cache: HashMap<(u32, u32), f64>,
+    ber_cache: BerGrid,
+    reduced_cache: BerGrid,
 }
 
 impl ReliabilityState {
@@ -78,22 +113,21 @@ impl ReliabilityState {
             program: ProgramModel::default(),
             retention: RetentionModel::paper(),
             max_age,
-            ages: HashMap::new(),
+            ages: PageColumn::new(UNSAMPLED),
             rng: StdRng::seed_from_u64(seed),
-            ber_cache: HashMap::new(),
-            reduced_cache: HashMap::new(),
+            ber_cache: BerGrid::default(),
+            reduced_cache: BerGrid::default(),
         }
     }
 
     /// Retention age of `lpn`'s stored data, sampling a steady-state age
     /// on first touch.
     pub fn age(&mut self, lpn: u64) -> Hours {
-        let max = self.max_age.as_f64();
-        let rng = &mut self.rng;
-        *self
-            .ages
-            .entry(lpn)
-            .or_insert_with(|| Hours(rng.gen::<f64>() * max))
+        let age = self.ages.get_mut(lpn);
+        if *age == UNSAMPLED {
+            *age = self.rng.gen::<f64>() * self.max_age.as_f64();
+        }
+        Hours(*age)
     }
 
     /// Records a (re)write of `lpn`.
@@ -109,7 +143,7 @@ impl ReliabilityState {
         let max = self.max_age.as_f64();
         let u: f64 = self.rng.gen();
         let v: f64 = self.rng.gen();
-        self.ages.insert(lpn, Hours(u.min(v) * max));
+        self.ages.set(lpn, u.min(v) * max);
     }
 
     /// Raw BER of a `mode` page at `pe_cycles` wear whose data is `age`
@@ -127,7 +161,8 @@ impl ReliabilityState {
                 &mut self.reduced_cache,
             ),
         };
-        if let Some(&ber) = cache.get(&(pe_bucket, age_bucket)) {
+        let cell = cache.cell(pe_bucket, age_bucket);
+        if let Some(&ber) = cell.as_deref().filter(|ber| !ber.is_nan()) {
             return ber;
         }
         // Evaluate at the bucket centre.
@@ -146,7 +181,9 @@ impl ReliabilityState {
             bits,
         )
         .ber;
-        cache.insert((pe_bucket, age_bucket), ber);
+        if let Some(cell) = cell {
+            *cell = ber;
+        }
         ber
     }
 
@@ -162,7 +199,7 @@ impl ReliabilityState {
     /// a refreshed page really is fresh, and keeping the age stream
     /// untouched preserves the determinism contract for fault-free pages.
     pub fn refresh(&mut self, lpn: u64) {
-        self.ages.insert(lpn, Hours(0.0));
+        self.ages.set(lpn, 0.0);
     }
 
     /// Relative BER improvement of the device's read-retry table at the
@@ -197,7 +234,7 @@ impl ReliabilityState {
 
     /// Number of distinct cached BER cells (diagnostics).
     pub fn cache_entries(&self) -> usize {
-        self.ber_cache.len()
+        self.ber_cache.entries()
     }
 
     /// Checkpoint view of the mutable accumulators: `(lpn, age hours)`
@@ -205,19 +242,19 @@ impl ReliabilityState {
     /// pure memoisation and deliberately excluded — they repopulate on
     /// demand with bit-identical values.
     pub fn snapshot(&self) -> (Vec<(u64, f64)>, [u64; 4]) {
-        let mut ages: Vec<(u64, f64)> = self
-            .ages
-            .iter()
-            .map(|(&lpn, &age)| (lpn, age.as_f64()))
-            .collect();
-        ages.sort_unstable_by_key(|&(lpn, _)| lpn);
-        (ages, self.rng.state())
+        (self.ages.entries().collect(), self.rng.state())
     }
 
     /// Restores the accumulators captured by [`snapshot`](Self::snapshot)
-    /// into this oracle, replacing the age table and RNG state.
+    /// into this oracle, replacing the age table and RNG state. The age
+    /// column grows to the largest LPN listed, and an age of −∞ reads as
+    /// never sampled, so callers holding untrusted ages bound their LPNs
+    /// and reject negative ages first.
     pub fn restore(&mut self, ages: &[(u64, f64)], rng: [u64; 4]) {
-        self.ages = ages.iter().map(|&(lpn, age)| (lpn, Hours(age))).collect();
+        self.ages.clear();
+        for &(lpn, age) in ages {
+            self.ages.set(lpn, age);
+        }
         self.rng = StdRng::from_state(rng);
     }
 }

@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 
+use flexlevel::PageColumn;
 use ldpc::SensingSchedule;
 use obs::splitmix64;
 use reliability::EccConfig;
@@ -142,7 +143,7 @@ impl FaultConfig {
 /// its own counter, so interleaving (a scrub read between two host
 /// reads, say) never shifts another stream's sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum StreamKind {
+pub(crate) enum StreamKind {
     /// Frame-decode outcome of a flash read.
     Read,
     /// Transient die fault on a flash read.
@@ -152,12 +153,22 @@ enum StreamKind {
 }
 
 impl StreamKind {
+    /// Every stream, in ascending tag order (the checkpoint order) and
+    /// in discriminant order (the counter-column index).
+    const ALL: [StreamKind; 3] = [StreamKind::Read, StreamKind::Die, StreamKind::Program];
+
+    /// The stream's key in the draw derivation and in checkpoints.
     fn tag(self) -> u64 {
         match self {
             StreamKind::Read => 0x1D,
             StreamKind::Die => 0x2E,
             StreamKind::Program => 0x3F,
         }
+    }
+
+    /// The stream a checkpoint tag names, if any.
+    pub(crate) fn from_tag(tag: u64) -> Option<StreamKind> {
+        StreamKind::ALL.into_iter().find(|kind| kind.tag() == tag)
     }
 }
 
@@ -187,8 +198,9 @@ pub struct FaultState {
     /// derived from [`reliability::read_retry`] at the device's stress
     /// point (the calibrated-over-nominal BER ratio).
     retry_fer_factor: f64,
-    /// Per-`(kind, lpn)` access counters driving the streams.
-    counters: HashMap<(u64, u64), u64>,
+    /// Per-page access counters driving the streams, one column per
+    /// [`StreamKind`] in `StreamKind::ALL` order.
+    counters: [PageColumn<u64>; 3],
     /// FER memo keyed by `(BER bits, sensing depth)` — BER values come
     /// off the quantised reliability cache, so this stays small.
     fer_cache: HashMap<(u64, u32), f64>,
@@ -231,7 +243,7 @@ impl FaultState {
             config,
             cluster_code,
             correction,
-            counters: HashMap::new(),
+            counters: [PageColumn::new(0), PageColumn::new(0), PageColumn::new(0)],
             fer_cache: HashMap::new(),
         }
     }
@@ -246,14 +258,15 @@ impl FaultState {
         self.retry_fer_factor
     }
 
-    /// Clears the per-page counters and cache (used when the simulator
+    /// Clears the per-page stream counters (used when the simulator
     /// resets for a measured run, so results do not depend on warmup).
+    /// The FER memo is a pure function of its key and is kept.
     pub fn reset(&mut self) {
-        self.counters.clear();
+        self.counters.iter_mut().for_each(PageColumn::clear);
     }
 
     fn draw(&mut self, kind: StreamKind, lpn: u64) -> f64 {
-        let counter = self.counters.entry((kind.tag(), lpn)).or_insert(0);
+        let counter = self.counters[kind as usize].get_mut(lpn);
         let index = *counter;
         *counter += 1;
         stream_unit(self.config.seed, kind, lpn, index)
@@ -279,22 +292,28 @@ impl FaultState {
     /// `(kind tag, lpn, count)` triples sorted by `(tag, lpn)`. The FER
     /// cache is pure memoisation and excluded.
     pub fn counters_snapshot(&self) -> Vec<(u64, u64, u64)> {
-        let mut out: Vec<(u64, u64, u64)> = self
-            .counters
-            .iter()
-            .map(|(&(tag, lpn), &count)| (tag, lpn, count))
-            .collect();
-        out.sort_unstable_by_key(|&(tag, lpn, _)| (tag, lpn));
-        out
+        StreamKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                self.counters[kind as usize]
+                    .entries()
+                    .map(move |(lpn, count)| (kind.tag(), lpn, count))
+            })
+            .collect()
     }
 
     /// Restores the per-page stream counters captured by
-    /// [`counters_snapshot`](Self::counters_snapshot).
+    /// [`counters_snapshot`](Self::counters_snapshot). Each column grows
+    /// to the largest LPN listed, a zero count is no entry at all and an
+    /// unknown tag is skipped, so callers holding untrusted counters
+    /// bound their LPNs and reject zero counts and unknown tags first.
     pub fn restore_counters(&mut self, counters: &[(u64, u64, u64)]) {
-        self.counters = counters
-            .iter()
-            .map(|&(tag, lpn, count)| ((tag, lpn), count))
-            .collect();
+        self.reset();
+        for &(tag, lpn, count) in counters {
+            if let Some(kind) = StreamKind::from_tag(tag) {
+                self.counters[kind as usize].set(lpn, count);
+            }
+        }
     }
 
     /// Initial frame-error rate of a read at raw BER `ber` sensed with

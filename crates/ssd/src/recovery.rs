@@ -971,6 +971,122 @@ mod image_tests {
         }
     }
 
+    /// A FlexLevel checkpoint under the `hostile` preset, so every
+    /// per-page field (ages, buffer, read counters, pool, read disturb,
+    /// fault counters) is present and non-empty.
+    fn hostile_checkpoint() -> (SsdConfig, DeviceImage) {
+        let trace = WorkloadSpec::fin2()
+            .with_requests(3_000)
+            .with_footprint(1_500)
+            .generate(&mut StdRng::seed_from_u64(0xF1E2));
+        let config = crate::ScenarioSpec::find("hostile")
+            .expect("known preset")
+            .apply(SsdConfig::scaled(Scheme::FlexLevel, 64).with_seed(7));
+        let mut sim = SsdSimulator::new(config.clone());
+        sim.run_prefix(&trace, 2_000).expect("prefix runs");
+        let image = sim.checkpoint().expect("checkpoint");
+        let eval = image
+            .access_eval
+            .as_ref()
+            .expect("FlexLevel checkpoints AccessEval");
+        assert!(!image.ages.is_empty() && !image.buffer.is_empty());
+        assert!(!eval.read_counts.is_empty() && !eval.pool.is_empty());
+        assert!(image.disturb.as_ref().is_some_and(|d| !d.is_empty()));
+        assert!(image.fault_counters.as_ref().is_some_and(|c| !c.is_empty()));
+        (config, image)
+    }
+
+    /// Forges an image given the device's logical page count.
+    type Forgery = fn(&mut DeviceImage, u64);
+
+    /// Applies each edit to a freshly encoded hostile checkpoint and
+    /// expects the restore to fail with `ImageError::Corrupt(what)`.
+    fn assert_forgeries_rejected(edits: &[(Forgery, &'static str)]) {
+        let (config, image) = hostile_checkpoint();
+        let logical = config.geometry.logical_pages();
+        assert!(SsdSimulator::restore(config.clone(), &image).is_ok());
+        for &(edit, what) in edits {
+            let mut forged = image.clone();
+            edit(&mut forged, logical);
+            let forged = DeviceImage::from_bytes(&forged.to_bytes()).expect("still decodes");
+            assert_eq!(
+                SsdSimulator::restore(config.clone(), &forged).err(),
+                Some(ImageError::Corrupt(what))
+            );
+        }
+    }
+
+    #[test]
+    fn restore_bounds_data_ages() {
+        assert_forgeries_rejected(&[
+            (|i, n| i.ages.push((n, 1.0)), "data-age LPN out of range"),
+            (|i, _| i.ages[0].1 = f64::NEG_INFINITY, "negative data age"),
+            (|i, _| i.ages[0].1 = -1.0, "negative data age"),
+        ]);
+    }
+
+    #[test]
+    fn restore_bounds_buffered_pages() {
+        assert_forgeries_rejected(&[(
+            |i, _| i.buffer[0].1 = u64::MAX,
+            "buffered LPN out of range",
+        )]);
+    }
+
+    #[test]
+    fn restore_bounds_read_counts() {
+        fn eval(image: &mut DeviceImage) -> &mut AccessEvalSnapshot {
+            image.access_eval.as_mut().expect("FlexLevel image")
+        }
+        assert_forgeries_rejected(&[
+            (
+                |i, n| eval(i).read_counts.push((n, 3)),
+                "read-count LPN out of range",
+            ),
+            (|i, _| eval(i).read_counts[0].1 = 0, "zero read count"),
+        ]);
+    }
+
+    #[test]
+    fn restore_bounds_pooled_pages() {
+        assert_forgeries_rejected(&[(
+            |i, n| i.access_eval.as_mut().expect("FlexLevel image").pool[0].1 = n,
+            "pooled LPN out of range",
+        )]);
+    }
+
+    #[test]
+    fn restore_bounds_read_disturb() {
+        fn disturb(image: &mut DeviceImage) -> &mut Vec<(u64, u64)> {
+            image.disturb.as_mut().expect("hostile tracks read disturb")
+        }
+        assert_forgeries_rejected(&[
+            (
+                |i, _| disturb(i)[0].0 = u64::MAX,
+                "read-disturb LPN out of range",
+            ),
+            (|i, _| disturb(i)[0].1 = 0, "zero read-disturb count"),
+        ]);
+    }
+
+    #[test]
+    fn restore_bounds_fault_counters() {
+        fn counters(image: &mut DeviceImage) -> &mut Vec<(u64, u64, u64)> {
+            image
+                .fault_counters
+                .as_mut()
+                .expect("hostile injects faults")
+        }
+        assert_forgeries_rejected(&[
+            (
+                |i, n| counters(i)[0].1 = n,
+                "fault-counter LPN out of range",
+            ),
+            (|i, _| counters(i)[0].0 = 0x40, "unknown fault-stream tag"),
+            (|i, _| counters(i)[0].2 = 0, "zero fault-stream count"),
+        ]);
+    }
+
     #[test]
     fn tenanted_stats_are_rejected() {
         let (_, _, mut image) = checkpointed(Scheme::Baseline);

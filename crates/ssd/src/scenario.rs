@@ -32,9 +32,8 @@
 //! `flexlevel-sim --scenario <name>` and pinned cell-by-cell in
 //! `tests/scenario_matrix.rs`.
 
-use std::collections::HashMap;
-
 use flash_model::CellTech;
+use flexlevel::PageColumn;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SsdConfig;
@@ -190,7 +189,10 @@ pub struct EnvironmentState {
     clusters: Vec<Cluster>,
     /// Flash reads absorbed per LPN since its last program/refresh
     /// (driven by logical access order only — thread/timing invariant).
-    disturb: HashMap<u64, u64>,
+    /// Zero for a page never read since its last program; grown only by
+    /// [`record_read`](Self::record_read), so it stays unallocated unless
+    /// read disturb is on.
+    disturb: PageColumn<u64>,
 }
 
 impl EnvironmentState {
@@ -225,7 +227,7 @@ impl EnvironmentState {
             channels,
             plane_stride,
             clusters,
-            disturb: HashMap::new(),
+            disturb: PageColumn::new(0),
         })
     }
 
@@ -273,7 +275,7 @@ impl EnvironmentState {
             }
         }
         if let Some(d) = &self.config.read_disturb {
-            let reads = self.disturb.get(&lpn).copied().unwrap_or(0);
+            let reads = self.disturb.get(lpn);
             ber += (d.ber_per_read * reads as f64).min(d.cap);
         }
         ber.clamp(0.0, 0.5)
@@ -290,7 +292,7 @@ impl EnvironmentState {
     /// Records one flash read of `lpn` (read-disturb accumulation).
     pub fn record_read(&mut self, lpn: u64) {
         if self.config.read_disturb.is_some() {
-            *self.disturb.entry(lpn).or_insert(0) += 1;
+            *self.disturb.get_mut(lpn) += 1;
         }
     }
 
@@ -298,7 +300,7 @@ impl EnvironmentState {
     /// clean, so the disturb counter resets.
     pub fn record_program(&mut self, lpn: u64) {
         if self.config.read_disturb.is_some() {
-            self.disturb.remove(&lpn);
+            self.disturb.remove(lpn);
         }
     }
 
@@ -312,19 +314,19 @@ impl EnvironmentState {
     /// pairs sorted by LPN. The cluster map and thermal tilt are pure
     /// functions of the configuration and need no checkpointing.
     pub fn disturb_snapshot(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .disturb
-            .iter()
-            .map(|(&lpn, &reads)| (lpn, reads))
-            .collect();
-        out.sort_unstable_by_key(|&(lpn, _)| lpn);
-        out
+        self.disturb.entries().collect()
     }
 
     /// Restores the read-disturb accumulators captured by
-    /// [`disturb_snapshot`](Self::disturb_snapshot).
+    /// [`disturb_snapshot`](Self::disturb_snapshot). The column grows to
+    /// the largest LPN listed and a zero count is no entry at all, so
+    /// callers holding untrusted counters bound their LPNs and reject
+    /// zero counts first.
     pub fn restore_disturb(&mut self, disturb: &[(u64, u64)]) {
-        self.disturb = disturb.iter().copied().collect();
+        self.disturb.clear();
+        for &(lpn, reads) in disturb {
+            self.disturb.set(lpn, reads);
+        }
     }
 }
 

@@ -66,7 +66,7 @@ use workloads::{IoOp, IoRequest, RequestSource, TenantRequest, Trace, TraceSourc
 use crate::buffer::WriteBuffer;
 use crate::config::{Scheme, SsdConfig, TimingModel};
 use crate::device::ReliabilityState;
-use crate::faults::{CrashPlan, FaultState};
+use crate::faults::{CrashPlan, FaultState, StreamKind};
 use crate::ftl::{FtlError, JournalRecord, OpCost, PageMapFtl, RecoveryReport, TornPage};
 use crate::obs::SimObserver;
 use crate::pipeline::{lumped_total, FlashOp};
@@ -228,6 +228,48 @@ pub struct SsdSimulator {
     /// handed to the next observer attached so a resumed campaign's
     /// series continues where the checkpointed run left off.
     restored_series: Option<obs::SeriesState>,
+}
+
+/// Holds the per-page state of an untrusted image to what the simulator
+/// itself writes, before any LPN-indexed column is sized from it: every
+/// LPN below `logical_pages`, every fault-stream tag known, every age
+/// non-negative (−∞ marks an unsampled age) and every counter non-zero
+/// (a zero counter is no entry, so it would vanish on the next
+/// checkpoint instead of re-encoding).
+fn check_page_state(image: &DeviceImage, logical_pages: u64) -> Result<(), ImageError> {
+    let out = |lpn: u64| lpn >= logical_pages;
+    let eval = image.access_eval.as_ref();
+    let disturb = image.disturb.as_deref().unwrap_or_default();
+    let counters = image.fault_counters.as_deref().unwrap_or_default();
+    let failure = if image.ages.iter().any(|&(lpn, _)| out(lpn)) {
+        "data-age LPN out of range"
+    } else if image.ages.iter().any(|&(_, age)| age < 0.0) {
+        "negative data age"
+    } else if image.buffer.iter().any(|&(_, lpn)| out(lpn)) {
+        "buffered LPN out of range"
+    } else if eval.is_some_and(|e| e.read_counts.iter().any(|&(lpn, _)| out(lpn))) {
+        "read-count LPN out of range"
+    } else if eval.is_some_and(|e| e.read_counts.iter().any(|&(_, count)| count == 0)) {
+        "zero read count"
+    } else if eval.is_some_and(|e| e.pool.iter().any(|&(_, lpn)| out(lpn))) {
+        "pooled LPN out of range"
+    } else if disturb.iter().any(|&(lpn, _)| out(lpn)) {
+        "read-disturb LPN out of range"
+    } else if disturb.iter().any(|&(_, reads)| reads == 0) {
+        "zero read-disturb count"
+    } else if counters
+        .iter()
+        .any(|&(tag, _, _)| StreamKind::from_tag(tag).is_none())
+    {
+        "unknown fault-stream tag"
+    } else if counters.iter().any(|&(_, lpn, _)| out(lpn)) {
+        "fault-counter LPN out of range"
+    } else if counters.iter().any(|&(_, _, count)| count == 0) {
+        "zero fault-stream count"
+    } else {
+        return Ok(());
+    };
+    Err(ImageError::Corrupt(failure))
 }
 
 impl SsdSimulator {
@@ -596,6 +638,9 @@ impl SsdSimulator {
     /// # Errors
     ///
     /// [`ImageError::ConfigMismatch`] on a fingerprint mismatch;
+    /// [`ImageError::Corrupt`] if the per-page state names an LPN past
+    /// the logical pages, an unknown fault stream or a zero counter
+    /// (checked before any per-page column is sized);
     /// [`ImageError::Invariant`] if the FTL image fails
     /// [`PageMapFtl::check_invariants`]; [`ImageError::Corrupt`] if any
     /// other component snapshot fails validation against the rebuilt
@@ -608,6 +653,7 @@ impl SsdSimulator {
                 found: image.config_fingerprint,
             });
         }
+        check_page_state(image, config.geometry.logical_pages())?;
         let mut sim = SsdSimulator::new(config);
         sim.ftl = PageMapFtl::from_image(&image.ftl)?;
         sim.buffer = WriteBuffer::from_snapshot(

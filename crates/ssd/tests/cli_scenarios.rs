@@ -196,6 +196,25 @@ fn restore_rejects_a_forged_scrub_cursor() {
 }
 
 #[test]
+fn restore_rejects_forged_per_page_state() {
+    // Per-page state lives in LPN-indexed columns: accepted as-is, a
+    // forged LPN would size a column by it (an allocation failure, not
+    // a typed error) and a zero counter would vanish on re-checkpoint.
+    let (code, stderr) = restore_forged("age_lpn", |image| image.ages.push((u64::MAX, 1.0)));
+    assert_eq!(code, Some(1), "typed image error:\n{stderr}");
+    assert!(stderr.contains("data-age LPN out of range"), "{stderr}");
+    let (code, stderr) = restore_forged("fault_tag", |image| {
+        let counters = image
+            .fault_counters
+            .as_mut()
+            .expect("--faults checkpoints counters");
+        counters.push((0x77, 0, 1));
+    });
+    assert_eq!(code, Some(1), "typed image error:\n{stderr}");
+    assert!(stderr.contains("unknown fault-stream tag"), "{stderr}");
+}
+
+#[test]
 fn restore_rejects_a_written_block_in_the_free_pool() {
     let (code, stderr) = restore_forged("free", |image| {
         let ftl = &mut image.ftl;
